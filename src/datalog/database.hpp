@@ -118,8 +118,7 @@ class Database {
     /// Epoch pipelining (runtime/pipeline.hpp): when `frontier` is set the
     /// cascade gates on epoch-1's finalized levels and publishes its own,
     /// using this database's cached PipelinePlan.  The caller owns the
-    /// frontier (one per session) and guarantees the strategy is
-    /// pipeline-eligible when epochs overlap.
+    /// frontier (one per session).
     runtime::StratumFrontier* frontier = nullptr;
     std::uint64_t epoch = 0;
     /// Live-resource ceiling over the cascade's accounted task utilities
@@ -153,11 +152,6 @@ class Database {
   [[nodiscard]] MaintenanceStrategy DefaultStrategy() const {
     return default_strategy_;
   }
-  /// The database-owned cross-update counting state.  Every apply path
-  /// threads it through, so counting sessions pay count initialization
-  /// once (and again only after a non-counting update touches the store).
-  [[nodiscard]] MaintenanceState& MaintState() { return maint_state_; }
-
   /// What one rule-set evolution did: the maintenance cascade's result,
   /// the program version it published, and the cone/reuse accounting.
   struct EvolveResult {
@@ -176,10 +170,9 @@ class Database {
   ///    clause, removes it, and propagates the loss of its derivations
   ///    under the current default strategy (rederiving anything the
   ///    remaining rules still support).
-  /// Maintenance runs only on the cone's components; the counting plane is
-  /// invalidated for exactly the cone (MarkCountingStale) instead of
-  /// globally.  Validation or stratification failures leave the database
-  /// unchanged (the new snapshot is built before anything is published).
+  /// Maintenance runs only on the cone's components.  Validation or
+  /// stratification failures leave the database unchanged (the new
+  /// snapshot is built before anything is published).
   EvolveResult EvolveAddRules(std::string_view rules_text);
   EvolveResult EvolveRemoveRule(std::string_view clause_text);
 
@@ -224,8 +217,8 @@ class Database {
   /// evolution (shared tail of EvolveAddRules/EvolveRemoveRule).
   UpdateResult PropagateEvolution(const CompiledProgram& next,
                                   const std::vector<bool>& affected,
-                                  GroupedBaseChanges& base,
-                                  std::vector<bool>& force);
+                                  const GroupedBaseChanges& base,
+                                  const std::vector<bool>& force);
 
   /// The current snapshot; swapped under BOTH mutexes by evolution.
   std::shared_ptr<CompiledProgram> compiled_;
@@ -236,7 +229,6 @@ class Database {
   mutable std::mutex sym_mutex_;
   RelationStore store_;
   MaintenanceStrategy default_strategy_ = MaintenanceStrategy::kDRed;
-  MaintenanceState maint_state_;
   bool materialized_ = false;
 };
 

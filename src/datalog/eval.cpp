@@ -719,23 +719,6 @@ bool IsDerivable(const Program& program, const RelationStore& store,
   return found;
 }
 
-std::uint64_t CountDerivations(const Program& program,
-                               const RelationStore& store, const Rule& rule,
-                               const Tuple& head_tuple, EvalStats& stats) {
-  DSCHED_CHECK_MSG(!rule.IsAggregate(),
-                   "aggregation rules go through EvaluateAggregateRule");
-  const DeltaRestriction none;
-  RuleJoin<RelationStore> join(program, store, rule, none, stats);
-  if (!join.BindHead(head_tuple)) {
-    return 0;
-  }
-  std::uint64_t derivations = 0;
-  const std::function<void(const Tuple&)> count =
-      [&derivations](const Tuple&) { ++derivations; };
-  join.Run(count, /*stop_after_first=*/false);
-  return derivations;
-}
-
 bool ForEachDerivation(
     const Program& program, const RelationStore& store, const Rule& rule,
     const Tuple& head_tuple, EvalStats& stats,

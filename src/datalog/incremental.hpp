@@ -51,20 +51,18 @@ struct ComponentUpdateStats {
   std::size_t tuples_deleted = 0;   ///< net removed tuples
   // Maintenance-strategy effort (see maintenance.hpp).  maint_ops is the
   // uniform tuple-level operation count the strategies are compared on:
-  // store mutations + derivability checks + recounts + backward probes of
-  // the deletion pipeline.  Insertion-side work is excluded everywhere —
-  // DRed's semi-naive continuation, counting's create-driven recounts and
-  // births — so the metric compares what each strategy does about
-  // deletions, the axis they actually differ on.
+  // store mutations + derivability checks + backward probes of the
+  // deletion pipeline.  Insertion-side work (the semi-naive continuation)
+  // is excluded everywhere, so the metric compares what each strategy
+  // does about deletions, the axis they actually differ on.
   std::size_t maint_ops = 0;
-  std::size_t maint_recounts = 0;  ///< counting: destroy-driven recounts
   std::size_t maint_backward_probes = 0;  ///< B/F: aliveness probes
   std::size_t maint_avoided = 0;  ///< deletions DRed would do, skipped here
   double seconds = 0.0;           ///< wall time spent on this component
   EvalStats eval;
 };
 
-/// Result of one Apply().
+/// Result of one update cascade.
 struct UpdateResult {
   std::vector<ComponentUpdateStats> components;  ///< in evaluation order
   std::size_t total_inserted = 0;
@@ -201,34 +199,5 @@ ComponentUpdateStats RunComponentPhase(const Program& program,
                                        const GroupedBaseChanges& base,
                                        std::vector<PredicateDelta>& net,
                                        StoreWriteBuffer* scratch = nullptr);
-
-/// The core propagation loop shared by base-fact updates and rule changes:
-/// runs the phase of every component that is touched (per
-/// ComponentInputTouched) or force-listed, in evaluation order.
-/// `force_touched`, when given, is indexed by component id — rule changes
-/// use it to run the owning component even without input deltas.
-UpdateResult PropagateUpdate(const Program& program,
-                             const Stratification& strat, RelationStore& store,
-                             const GroupedBaseChanges& base,
-                             const std::vector<bool>* force_touched = nullptr);
-
-/// Maintains one materialized store under updates.
-class IncrementalEngine {
- public:
-  /// The store must already be materialized (EvaluateProgram) and is
-  /// mutated in place by Apply.  All references must outlive the engine.
-  IncrementalEngine(const Program& program, const Stratification& strat,
-                    RelationStore& store);
-
-  /// Applies one batch incrementally.  Afterwards the store equals what a
-  /// from-scratch evaluation over (base ∪ insertions ∖ deletions) produces
-  /// — the property the tests verify.
-  UpdateResult Apply(const UpdateRequest& request);
-
- private:
-  const Program& program_;
-  const Stratification& strat_;
-  RelationStore& store_;
-};
 
 }  // namespace dsched::datalog

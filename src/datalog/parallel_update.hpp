@@ -8,7 +8,7 @@
 //    component (same shape as schedule_bridge.hpp);
 //  * initially dirty: the base predicates the update touches (their
 //    component task, when they have rules);
-//  * a component task's body runs RunComponentPhase — the actual
+//  * a component task's body runs RunMaintenancePhase — the actual
 //    overdelete / rederive / insert work — and reports whether its
 //    relations net-changed, which is what activates downstream collectors;
 //  * a collector's body just forwards its predicate's change flag.
@@ -43,23 +43,16 @@ struct ParallelUpdateOptions {
   /// The caller must keep the router alive for the duration of the call.
   runtime::TaskRouter* router = nullptr;
   /// How each component phase maintains deletions (maintenance.hpp).
-  /// Counting and B/F fall back to DRed per component where required.
+  /// B/F falls back to DRed per component where required.
   MaintenanceStrategy strategy = MaintenanceStrategy::kDRed;
-  /// Cross-update counting state.  Null means a transient per-call state:
-  /// still correct, but kCounting then re-initializes the derivation
-  /// counts on every call.  Sessions should own one per database.  The
-  /// phases write disjoint per-predicate slots, so one state is safe to
-  /// share across the update's workers.
-  MaintenanceState* maint_state = nullptr;
 
   // --- epoch pipelining (runtime/pipeline.hpp, DESIGN.md §12) ----------
   /// When set, this update joins its session's epoch pipeline: the
   /// coordinator holds back each component task until epoch-1 has
   /// finalized every level the task's writes could race with (the fences
   /// in `plan`), and publishes this cascade's own per-level finalization
-  /// as the levels drain.  Requires `plan` (which must outlive the call)
-  /// and a pipeline-eligible strategy (StrategyPipelineEligible — the
-  /// caller clamps depth, this layer trusts it).  Null = unpipelined.
+  /// as the levels drain.  Requires `plan` (which must outlive the call).
+  /// Null = unpipelined.
   runtime::StratumFrontier* frontier = nullptr;
   /// The dense 1-based session epoch of this update; stamped on every
   /// published DeltaChunk and used to gate on epoch-1's frontier entry.
@@ -79,7 +72,7 @@ struct ParallelUpdateOptions {
 
 /// Result of a parallel update.
 struct ParallelUpdateResult {
-  /// Per-component stats, same semantics as IncrementalEngine::Apply
+  /// Per-component stats, same semantics as the serial PropagateUpdate
   /// (components in evaluation order; untouched ones marked unchanged).
   UpdateResult update;
   /// Executor-level stats: tasks run, activations, wall time, scheduler
@@ -90,8 +83,8 @@ struct ParallelUpdateResult {
 };
 
 /// Applies `request` to the materialized `store` using `workers` threads.
-/// Equivalent to IncrementalEngine::Apply in final state (the tests verify
-/// store equality); faster when independent components dominate.
+/// Equivalent to the serial PropagateUpdate in final state (the tests
+/// verify store equality); faster when independent components dominate.
 [[nodiscard]] ParallelUpdateResult ApplyParallel(
     const Program& program, const Stratification& strat, RelationStore& store,
     const UpdateRequest& request, const ParallelUpdateOptions& options = {});

@@ -8,7 +8,7 @@
 //  * one *task* node per rule component (the fixpoint evaluation granule);
 //  * edges: predicate → every component reading it; component → every
 //    member predicate it writes.
-// Activation data comes from a real IncrementalEngine::Apply run: a task's
+// Activation data comes from a real serial PropagateUpdate run: a task's
 // work is the measured component evaluation time, its output-changes bit is
 // whether the component's relations net-changed, and the initially dirty
 // nodes are the base predicates the update touched.
@@ -35,8 +35,8 @@ struct UpdateTrace {
   std::vector<util::TaskId> component_node;
 };
 
-/// Builds the trace for one applied update.  `result` must come from an
-/// IncrementalEngine::Apply of `request` under the same program/strat.
+/// Builds the trace for one applied update.  `result` must come from a
+/// serial PropagateUpdate of `request` under the same program/strat.
 [[nodiscard]] UpdateTrace BuildUpdateTrace(const Program& program,
                                            const Stratification& strat,
                                            const UpdateRequest& request,

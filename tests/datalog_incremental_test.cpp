@@ -8,7 +8,7 @@
 
 #include "datalog/database.hpp"
 #include "datalog/eval.hpp"
-#include "datalog/incremental.hpp"
+#include "datalog/maintenance.hpp"
 #include "datalog/parser.hpp"
 #include "datalog/schedule_bridge.hpp"
 #include "datalog/stratify.hpp"
@@ -221,7 +221,6 @@ TEST(IncrementalTest, RandomizedEquivalenceWithFromScratch) {
       store.Of(pred).Insert(tuple);
     }
     EvaluateProgram(program, strat, store);
-    IncrementalEngine engine(program, strat, store);
 
     for (int batch = 0; batch < 5; ++batch) {
       UpdateRequest request;
@@ -243,7 +242,8 @@ TEST(IncrementalTest, RandomizedEquivalenceWithFromScratch) {
                                           Tuple{Value::Int(i), Value::Int(j)});
         }
       }
-      engine.Apply(request);
+      (void)PropagateUpdate(program, strat, store,
+                            GroupedBaseChanges(program, request));
 
       std::vector<std::pair<std::uint32_t, Tuple>> current_base;
       for (int i = 0; i < 10; ++i) {

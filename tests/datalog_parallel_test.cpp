@@ -38,13 +38,14 @@ TEST(ParallelUpdateTest, MatchesSequentialAcrossSchedulers) {
     Fixture parallel;
     parallel.Base(rng2, 10, 0.15);
 
-    IncrementalEngine engine(sequential.program, sequential.strat,
-                             sequential.store);
     util::Rng update_rng(4242);
     for (int batch = 0; batch < 4; ++batch) {
       const UpdateRequest request =
           RandomUpdate(sequential.program, update_rng, 10);
-      const UpdateResult seq_result = engine.Apply(request);
+      const UpdateResult seq_result =
+          PropagateUpdate(sequential.program, sequential.strat,
+                          sequential.store,
+                          GroupedBaseChanges(sequential.program, request));
       ParallelUpdateOptions options;
       options.scheduler_spec = spec;
       options.workers = 3;

@@ -557,8 +557,22 @@ TEST(ServiceServerTest, BadRequestsAnswerWithErrors) {
   ASSERT_EQ(resp.opcode, Opcode::kError);
   EXPECT_EQ(resp.error.code, ErrorCode::kBadProgram);
 
+  // Removed maintenance strategy: rejected at open like any unknown name,
+  // with the valid values listed.
+  OpenSessionRequest removed_strategy;
+  removed_strategy.request_id = 6;
+  removed_strategy.program = kChainProgram;
+  removed_strategy.strategy = "counting";
+  client.SendOpenSession(removed_strategy);
+  ASSERT_TRUE(client.ReadResponse(&resp, 5000));
+  ASSERT_EQ(resp.opcode, Opcode::kError);
+  EXPECT_EQ(resp.error.code, ErrorCode::kBadProgram);
+  EXPECT_NE(resp.error.message.find("valid values: dred bf"),
+            std::string::npos)
+      << resp.error.message;
+
   // The session survived all of it.
-  const SubmitResultResponse ok = client.SubmitSync(ChainBatch(6, sid, 0, 2));
+  const SubmitResultResponse ok = client.SubmitSync(ChainBatch(7, sid, 0, 2));
   EXPECT_EQ(ok.epoch, 1u);
 }
 

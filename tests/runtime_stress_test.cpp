@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "datalog/eval.hpp"
-#include "datalog/incremental.hpp"
+#include "datalog/maintenance.hpp"
 #include "datalog/parallel_update.hpp"
 #include "datalog/parser.hpp"
 #include "datalog/stratify.hpp"
@@ -181,7 +181,6 @@ TEST(RuntimeStressTest, ParallelStoreEqualsSerialAcrossSweep) {
       datalog::EvaluateProgram(seq_program, seq_strat, seq_store);
       datalog::EvaluateProgram(par_program, par_strat, par_store);
 
-      datalog::IncrementalEngine engine(seq_program, seq_strat, seq_store);
       util::Rng update_rng(999);
       for (int batch = 0; batch < 3; ++batch) {
         datalog::UpdateRequest request;
@@ -206,7 +205,9 @@ TEST(RuntimeStressTest, ParallelStoreEqualsSerialAcrossSweep) {
           request.deletions.emplace_back(mark, Tuple{Value::Int(m)});
         }
 
-        (void)engine.Apply(request);
+        (void)datalog::PropagateUpdate(
+            seq_program, seq_strat, seq_store,
+            datalog::GroupedBaseChanges(seq_program, request));
         datalog::ParallelUpdateOptions options;
         options.scheduler_spec = spec;
         options.workers = workers;
@@ -237,13 +238,13 @@ TEST(RuntimeStressTest, ParallelViaSharedRouterEqualsSerial) {
     dsched::testing::WideFixture routed;
     routed.Base(rng2, 9, 0.18);
 
-    datalog::IncrementalEngine engine(serial.program, serial.strat,
-                                      serial.store);
     util::Rng update_rng(654);
     for (int batch = 0; batch < 3; ++batch) {
       const datalog::UpdateRequest request =
           dsched::testing::RandomUpdate(serial.program, update_rng, 9);
-      (void)engine.Apply(request);
+      (void)datalog::PropagateUpdate(
+          serial.program, serial.strat, serial.store,
+          datalog::GroupedBaseChanges(serial.program, request));
       datalog::ParallelUpdateOptions options;
       options.scheduler_spec = spec;
       options.router = &router;

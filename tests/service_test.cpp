@@ -14,7 +14,7 @@
 #include <thread>
 #include <vector>
 
-#include "datalog/incremental.hpp"
+#include "datalog/maintenance.hpp"
 #include "service/engine_host.hpp"
 #include "service/session.hpp"
 #include "service/update_queue.hpp"
@@ -104,14 +104,14 @@ TEST(ServiceTest, SingleSessionMatchesSerialReplay) {
   util::Rng replay_rng(777);
   WideFixture replay;
   replay.Base(replay_rng, 10, 0.15);
-  datalog::IncrementalEngine engine(replay.program, replay.strat,
-                                    replay.store);
 
   util::Rng update_rng(4242);
   for (int batch = 0; batch < 5; ++batch) {
     const datalog::UpdateRequest request =
         RandomUpdate(replay.program, update_rng, 10);
-    const datalog::UpdateResult serial = engine.Apply(request);
+    const datalog::UpdateResult serial = datalog::PropagateUpdate(
+        replay.program, replay.strat, replay.store,
+        datalog::GroupedBaseChanges(replay.program, request));
     const UpdateOutcome outcome = session->Submit(request).get();
     EXPECT_EQ(outcome.epoch, static_cast<std::uint64_t>(batch + 1));
     EXPECT_EQ(outcome.update.total_inserted, serial.total_inserted);
@@ -177,11 +177,11 @@ TEST(ServiceTest, FourConcurrentSessionsEqualSerialPerSessionReplay) {
     util::Rng replay_rng(1000 + static_cast<std::uint64_t>(s));
     WideFixture replay;
     replay.Base(replay_rng, 9, 0.18);
-    datalog::IncrementalEngine engine(replay.program, replay.strat,
-                                      replay.store);
     for (const datalog::UpdateRequest& request :
          streams[static_cast<std::size_t>(s)]) {
-      (void)engine.Apply(request);
+      (void)datalog::PropagateUpdate(
+          replay.program, replay.strat, replay.store,
+          datalog::GroupedBaseChanges(replay.program, request));
     }
     ExpectStoresEqual(replay.program, replay.store,
                       sessions[static_cast<std::size_t>(s)]->Store(),
@@ -286,13 +286,13 @@ TEST(ServiceTest, SerialSchedulerSessionBypassesThePool) {
   util::Rng replay_rng(21);
   WideFixture replay;
   replay.Base(replay_rng, 8, 0.2);
-  datalog::IncrementalEngine engine(replay.program, replay.strat,
-                                    replay.store);
   util::Rng update_rng(22);
   for (int i = 0; i < 4; ++i) {
     const datalog::UpdateRequest request =
         RandomUpdate(replay.program, update_rng, 8);
-    (void)engine.Apply(request);
+    (void)datalog::PropagateUpdate(
+        replay.program, replay.strat, replay.store,
+        datalog::GroupedBaseChanges(replay.program, request));
     const UpdateOutcome outcome = session->Submit(request).get();
     EXPECT_EQ(outcome.run.executed, 0u);  // no executor involved
   }
@@ -319,14 +319,13 @@ TEST(ServiceTest, BadProgramsAndSpecsFailAtOpen) {
   }
   try {
     (void)host.OpenSession(kWideProgram,
-                           {.maintenance_strategy = "countingg"});
+                           {.maintenance_strategy = "dredd"});
     FAIL() << "unknown maintenance strategy accepted";
   } catch (const util::Error& err) {
     const std::string message = err.what();
-    EXPECT_NE(message.find("countingg"), std::string::npos) << message;
-    EXPECT_NE(message.find("dred"), std::string::npos) << message;
-    EXPECT_NE(message.find("counting"), std::string::npos) << message;
-    EXPECT_NE(message.find("bf"), std::string::npos) << message;
+    EXPECT_NE(message.find("dredd"), std::string::npos) << message;
+    EXPECT_NE(message.find("valid values: dred bf"), std::string::npos)
+        << message;
   }
   EXPECT_EQ(host.ActiveSessions(), 0u);
 }
@@ -336,14 +335,11 @@ TEST(ServiceTest, PerSessionStrategiesConvergeToTheSameStore) {
   auto dred = host.OpenSession(kWideProgram,
                                {.name = "m-dred",
                                 .maintenance_strategy = "dred"});
-  auto counting = host.OpenSession(kWideProgram,
-                                   {.name = "m-count",
-                                    .maintenance_strategy = "counting"});
   auto bf = host.OpenSession(kWideProgram,
                              {.name = "m-bf", .maintenance_strategy = "bf"});
-  EXPECT_EQ(counting->Strategy(), datalog::MaintenanceStrategy::kCounting);
+  EXPECT_EQ(dred->Strategy(), datalog::MaintenanceStrategy::kDRed);
   EXPECT_EQ(bf->Strategy(), datalog::MaintenanceStrategy::kBackwardForward);
-  for (Session* s : {dred.get(), counting.get(), bf.get()}) {
+  for (Session* s : {dred.get(), bf.get()}) {
     util::Rng seed_rng(21);
     SeedLikeFixture(*s, seed_rng, 10, 0.15);
   }
@@ -352,19 +348,16 @@ TEST(ServiceTest, PerSessionStrategiesConvergeToTheSameStore) {
   for (int b = 0; b < 6; ++b) {
     batches.push_back(RandomUpdate(dred->Db().GetProgram(), update_rng, 10));
   }
-  for (Session* s : {dred.get(), counting.get(), bf.get()}) {
+  for (Session* s : {dred.get(), bf.get()}) {
     for (const datalog::UpdateRequest& batch : batches) {
       (void)s->Submit(batch);
     }
     s->Close();
   }
-  ExpectStoresEqual(dred->Db().GetProgram(), dred->Store(),
-                    counting->Store(), "counting vs dred sessions");
   ExpectStoresEqual(dred->Db().GetProgram(), dred->Store(), bf->Store(),
                     "bf vs dred sessions");
   const obs::MetricsRegistry& metrics = host.Metrics();
   EXPECT_GT(metrics.Value("session.m-dred.maint.ops"), 0u);
-  EXPECT_GT(metrics.Value("session.m-count.maint.recounts"), 0u);
   EXPECT_GT(metrics.Value("session.m-bf.maint.backward_probes"), 0u);
 }
 
