@@ -51,40 +51,64 @@ namespace {
 /// — the live RelationStore or the incremental engine's OldStateView.
 ///
 /// Construction plans the join:
+///  * in head-bound mode (derivability checks: IsDerivable,
+///    ForEachDerivation) the head variables are statically bound before
+///    anything else is planned, so every level keys on them and BindHead
+///    only fills their values;
 ///  * positive body literals are ordered greedily by estimated lookup
 ///    cardinality (relation size ÷ bound-column index fan-out when a fresh
 ///    index exists, an independence-assumption power law otherwise), with
 ///    the delta-restricted literal pinned first;
+///  * a positive literal whose variables are all bound at its point in the
+///    plan is a membership filter (ContainsTuple, the relation's own hash
+///    table), not a level — it needs no secondary index;
 ///  * each level's index key columns are fixed statically, so the per-row
 ///    inner loop neither rebuilds column lists nor re-derives which
 ///    variables to bind — it fills a reusable key buffer and walks a
 ///    precomputed (position, variable) slot list;
-///  * negations and comparisons are hoisted to the earliest level at which
-///    all their variables are bound, pruning partial bindings instead of
-///    filtering complete ones.
+///  * filters (negations, comparisons, membership) are hoisted to the
+///    earliest level at which all their variables are bound, pruning
+///    partial bindings instead of filtering complete ones.
 template <typename TStore>
 class RuleJoin {
  public:
   RuleJoin(const Program& program, const TStore& store,
            const Rule& rule, const DeltaRestriction& restriction,
-           EvalStats& stats)
+           EvalStats& stats, bool head_bound = false)
       : program_(program),
         store_(store),
         rule_(rule),
         restriction_(restriction),
         stats_(stats),
         bindings_(rule.variable_names.size()),
-        bound_(rule.variable_names.size(), 0),
-        head_(rule.head.args.size()) {
+        head_(rule.head.args.size()),
+        head_bound_(head_bound) {
     OBS_SCOPE(Category::kJoinPlan);
-    undo_.reserve(rule.variable_names.size());
+
+    // Head plan: constants are baked into the reusable buffer once;
+    // EmitHead fills only the variable positions, and BindHead writes a
+    // variable's first occurrence and checks its repeats.
+    std::vector<char> head_seen(rule.variable_names.size(), 0);
+    for (std::size_t i = 0; i < rule_.head.args.size(); ++i) {
+      const Term& term = rule_.head.args[i];
+      if (term.IsVar()) {
+        head_vars_.push_back({i, term.var, head_seen[term.var] != 0});
+        head_seen[term.var] = 1;
+      } else {
+        head_[i] = term.constant;
+      }
+    }
+    std::vector<char> sbound =
+        head_bound_ ? head_seen
+                    : std::vector<char>(rule.variable_names.size(), 0);
+    std::vector<char> hoist_bound = sbound;
 
     // Split the body: the restricted element (if any) joins first; then
-    // the remaining positive literals, planner-ordered; negations and
-    // comparisons become filters hoisted onto the levels.
+    // the remaining positive literals, planner-ordered; negations,
+    // comparisons and fully bound positive literals become filters
+    // hoisted onto the levels.
     std::vector<std::size_t> positives;
     std::vector<std::size_t> filters;
-    std::vector<char> sbound(rule.variable_names.size(), 0);
     for (std::size_t i = 0; i < rule_.body.size(); ++i) {
       const bool restricted = (i == restriction_.body_index);
       if (const auto* literal = std::get_if<Literal>(&rule_.body[i])) {
@@ -124,7 +148,19 @@ class RuleJoin {
     }
 
     // Greedy selectivity ordering over the static bound-variable set.
-    while (!positives.empty()) {
+    // Before each pick, every remaining positive literal that is already
+    // fully bound leaves the ordering and becomes a membership filter.
+    while (true) {
+      std::erase_if(positives, [&](std::size_t body_index) {
+        if (!FilterVarsBound(body_index, sbound)) {
+          return false;
+        }
+        filters.push_back(body_index);
+        return true;
+      });
+      if (positives.empty()) {
+        break;
+      }
       std::size_t best = 0;
       double best_cost = EstimateCost(AtomAt(positives[0]), sbound);
       for (std::size_t c = 1; c < positives.size(); ++c) {
@@ -143,7 +179,6 @@ class RuleJoin {
     // Hoist each filter to the earliest point all its variables are bound.
     // (Safety validation guarantees every filter variable occurs in some
     // positive literal, so placement always succeeds.)
-    std::vector<char> hoist_bound(rule.variable_names.size(), 0);
     std::size_t placed_through = 0;  // filters placeable before any level
     for (const std::size_t f : filters) {
       if (FilterVarsBound(f, hoist_bound)) {
@@ -173,20 +208,10 @@ class RuleJoin {
       }
     }
 
-    // Head plan: constants are baked into the reusable buffer once;
-    // EmitHead fills only the variable positions.
-    for (std::size_t i = 0; i < rule_.head.args.size(); ++i) {
-      const Term& term = rule_.head.args[i];
-      if (term.IsVar()) {
-        head_vars_.emplace_back(i, term.var);
-      } else {
-        head_[i] = term.constant;
-      }
-    }
-
     // Innermost-level fast path: eligible when the last level is indexed,
-    // filter-free, and all-fresh (every probed row emits).
-    if (!levels_.empty()) {
+    // filter-free, and all-fresh (every probed row emits), and the plan is
+    // not head-bound (derivability checks stop early and read bindings_).
+    if (!levels_.empty() && !head_bound_) {
       LevelPlan& leaf = levels_.back();
       bool fresh = !leaf.is_delta && leaf.filters.empty();
       for (const auto& slot : leaf.var_slots) {
@@ -194,17 +219,17 @@ class RuleJoin {
       }
       if (fresh) {
         leaf.leaf_fast = true;
-        for (const auto& [dst, var] : head_vars_) {
+        for (const VarSlot& head : head_vars_) {
           bool from_row = false;
           for (const auto& slot : leaf.var_slots) {
-            if (slot.var == var) {
-              leaf.leaf_head_row.emplace_back(dst, slot.pos);
+            if (slot.var == head.var) {
+              leaf.leaf_head_row.emplace_back(head.pos, slot.pos);
               from_row = true;
               break;
             }
           }
           if (!from_row) {
-            leaf.leaf_head_outer.emplace_back(dst, var);
+            leaf.leaf_head_outer.emplace_back(head.pos, head.var);
           }
         }
       }
@@ -263,24 +288,23 @@ class RuleJoin {
     }
   }
 
-  /// Pre-binds head variables against a ground head tuple (rederivation
-  /// queries).  Returns false if constants clash.
+  /// Binds the head variables of a head-bound plan to a ground head tuple
+  /// (derivability queries); call before Run.  Returns false if a head
+  /// constant clashes or a repeated head variable meets two values.
   bool BindHead(const Tuple& head_tuple) {
+    DSCHED_CHECK_MSG(head_bound_, "BindHead needs a head-bound plan");
     DSCHED_CHECK_MSG(head_tuple.size() == rule_.head.args.size(),
                      "head tuple arity mismatch");
-    head_bound_ = true;
     for (std::size_t i = 0; i < head_tuple.size(); ++i) {
       const Term& term = rule_.head.args[i];
-      if (term.IsVar()) {
-        if (bound_[term.var] != 0) {
-          if (!(bindings_[term.var] == head_tuple[i])) {
-            return false;
-          }
-        } else {
-          bound_[term.var] = 1;
-          bindings_[term.var] = head_tuple[i];
-        }
-      } else if (!(term.constant == head_tuple[i])) {
+      if (!term.IsVar() && !(term.constant == head_tuple[i])) {
+        return false;
+      }
+    }
+    for (const VarSlot& slot : head_vars_) {
+      if (!slot.check) {
+        bindings_[slot.var] = head_tuple[slot.pos];
+      } else if (!(bindings_[slot.var] == head_tuple[slot.pos])) {
         return false;
       }
     }
@@ -288,6 +312,17 @@ class RuleJoin {
   }
 
  private:
+  /// One non-key position to bind or check per row (or, in head_vars_,
+  /// one variable position of the head).  `check` is decided statically: a
+  /// variable bound earlier in the plan or by an earlier occurrence in the
+  /// same atom is compared; otherwise the slot is a fresh first binding and
+  /// the hot path just overwrites bindings_.
+  struct VarSlot {
+    std::size_t pos;
+    std::uint32_t var;
+    bool check;
+  };
+
   /// One join level, fully planned at construction.
   struct LevelPlan {
     std::size_t body_index = 0;
@@ -299,16 +334,7 @@ class RuleJoin {
     std::vector<Term> key_terms;
     /// Reusable key buffer, parallel to `columns`.
     Tuple key;
-    /// One non-key position to bind or check per row.  `check` is decided
-    /// statically: a variable bound by an earlier level or an earlier
-    /// occurrence in this literal is compared; otherwise the slot is a
-    /// fresh first binding and the hot path just overwrites bindings_
-    /// (no bound_ bookkeeping, no undo entry).
-    struct VarSlot {
-      std::size_t pos;
-      std::uint32_t var;
-      bool check;
-    };
+    /// Non-key positions, bound or checked per row.
     std::vector<VarSlot> var_slots;
     /// Constant positions of a delta level (indexed levels fold constants
     /// into the key instead).
@@ -350,7 +376,7 @@ class RuleJoin {
       return n;
     }
     std::vector<std::size_t> columns;
-    std::vector<char> seen(bound_.size(), 0);
+    std::vector<char> seen(sbound.size(), 0);
     for (std::size_t i = 0; i < atom.args.size(); ++i) {
       const Term& term = atom.args[i];
       if (!term.IsVar()) {
@@ -362,9 +388,6 @@ class RuleJoin {
     }
     if (columns.empty()) {
       return n;
-    }
-    if (columns.size() == atom.args.size()) {
-      return 1.0;  // fully bound: a point probe
     }
     const std::size_t distinct =
         store_.IndexDistinct(atom.predicate, columns);
@@ -386,7 +409,7 @@ class RuleJoin {
     LevelPlan level;
     level.body_index = body_index;
     level.atom = &AtomAt(body_index);
-    std::vector<char> seen(bound_.size(), 0);
+    std::vector<char> seen(sbound.size(), 0);
     for (std::size_t i = 0; i < level.atom->args.size(); ++i) {
       const Term& term = level.atom->args[i];
       if (!term.IsVar()) {
@@ -451,36 +474,17 @@ class RuleJoin {
   /// Binds/checks the non-key positions of one indexed row.  Key columns
   /// are skipped — the index already matched them.  Check slots compare
   /// against bindings_ directly: the planner guarantees their variable was
-  /// written by an earlier level or an earlier slot of this loop.  Fresh
-  /// slots are a bare store — unless BindHead pre-bound variables, which
-  /// invalidates the static classification and forces the dynamic path.
+  /// written earlier in the plan or by an earlier slot of this loop.
   bool MatchSlots(const LevelPlan& level, RowView row) {
     for (const auto& slot : level.var_slots) {
       const Value v = row[slot.pos];
-      if (slot.check) {
-        if (!(bindings_[slot.var] == v)) {
-          return false;
-        }
-      } else if (!head_bound_) {
+      if (!slot.check) {
         bindings_[slot.var] = v;
-      } else if (bound_[slot.var] != 0) {
-        if (!(bindings_[slot.var] == v)) {
-          return false;
-        }
-      } else {
-        bound_[slot.var] = 1;
-        bindings_[slot.var] = v;
-        undo_.push_back(slot.var);
+      } else if (!(bindings_[slot.var] == v)) {
+        return false;
       }
     }
     return true;
-  }
-
-  void UnwindTo(std::size_t mark) {
-    while (undo_.size() > mark) {
-      bound_[undo_.back()] = 0;
-      undo_.pop_back();
-    }
   }
 
   /// Ground-evaluates one filter element.
@@ -511,8 +515,8 @@ class RuleJoin {
   }
 
   bool EmitHead() {
-    for (const auto& [dst, var] : head_vars_) {
-      head_[dst] = bindings_[var];
+    for (const VarSlot& slot : head_vars_) {
+      head_[slot.pos] = bindings_[slot.var];
     }
     ++stats_.tuples_derived;
     (*emit_)(head_);
@@ -525,17 +529,14 @@ class RuleJoin {
       return EmitHead();
     }
     LevelPlan& level = levels_[k];
-    const std::size_t undo_mark = undo_.size();
 
     if (level.is_delta) {
       for (const Tuple& row : restriction_.rows) {
         ++stats_.bindings_explored;
         if (MatchDelta(level, row) && RunFilters(level) &&
             JoinFrom(k + 1)) {
-          UnwindTo(undo_mark);
           return true;
         }
-        UnwindTo(undo_mark);
       }
       return false;
     }
@@ -544,7 +545,7 @@ class RuleJoin {
       const Term& term = level.key_terms[i];
       level.key[i] = term.IsVar() ? bindings_[term.var] : term.constant;
     }
-    if (level.leaf_fast && !stop_after_first_ && !head_bound_) {
+    if (level.leaf_fast) {
       // Innermost all-fresh level: every row emits; the head reads the
       // arena row directly and outer-bound positions are filled once.
       const auto rows = store_.LookupPrepared(level.prepared, level.key);
@@ -573,10 +574,8 @@ class RuleJoin {
       ++stats_.bindings_explored;
       if (MatchSlots(level, store_.RowIn(level.prepared, row_id)) &&
           RunFilters(level) && JoinFrom(k + 1)) {
-        UnwindTo(undo_mark);
         return true;
       }
-      UnwindTo(undo_mark);
     }
     return false;
   }
@@ -588,18 +587,16 @@ class RuleJoin {
   EvalStats& stats_;
 
   std::vector<Value> bindings_;
-  std::vector<char> bound_;  ///< dynamic bound set (delta / BindHead paths)
   std::vector<LevelPlan> levels_;
   std::vector<std::size_t> pre_filters_;  ///< ground before any join level
-  /// Variable head positions (dst, var); constant positions are prebaked.
-  std::vector<std::pair<std::size_t, std::uint32_t>> head_vars_;
-  std::vector<std::uint32_t> undo_;       ///< shared bind stack, mark-based
+  /// Variable head positions; constant positions are prebaked.
+  std::vector<VarSlot> head_vars_;
   Tuple head_;                            ///< reusable head buffer
-  Tuple probe_;                           ///< reusable negation-probe buffer
+  Tuple probe_;                           ///< reusable filter-probe buffer
   const std::function<void(const Tuple&)>* emit_ = nullptr;
   bool stop_after_first_ = false;
   const bool* stop_flag_ = nullptr;  ///< RunUntil's conditional stop
-  bool head_bound_ = false;
+  const bool head_bound_;  ///< head variables statically bound (BindHead)
 };
 
 }  // namespace
@@ -706,8 +703,9 @@ bool IsDerivable(const Program& program, const RelationStore& store,
                  const Rule& rule, const Tuple& head_tuple, EvalStats& stats) {
   DSCHED_CHECK_MSG(!rule.IsAggregate(),
                    "aggregation rules go through EvaluateAggregateRule");
-  DeltaRestriction none;
-  RuleJoin<RelationStore> join(program, store, rule, none, stats);
+  const DeltaRestriction none;
+  RuleJoin<RelationStore> join(program, store, rule, none, stats,
+                               /*head_bound=*/true);
   if (!join.BindHead(head_tuple)) {
     return false;
   }
@@ -727,7 +725,8 @@ bool ForEachDerivation(
   DSCHED_CHECK_MSG(!rule.IsAggregate(),
                    "aggregation rules go through EvaluateAggregateRule");
   const DeltaRestriction none;
-  RuleJoin<RelationStore> join(program, store, rule, none, stats);
+  RuleJoin<RelationStore> join(program, store, rule, none, stats,
+                               /*head_bound=*/true);
   if (!join.BindHead(head_tuple)) {
     return false;
   }
