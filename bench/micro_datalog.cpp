@@ -69,7 +69,7 @@ void BM_IncrementalInsertOneEdge(benchmark::State& state) {
     auto update = db.MakeUpdate();
     update.Insert("edge", {Value::Int(n - 2), Value::Int(n - 1)});
     state.ResumeTiming();
-    const auto result = db.Apply(update);
+    const auto result = db.ApplyRequest(update.Request());
     benchmark::DoNotOptimize(result.total_inserted);
   }
 }
@@ -91,7 +91,7 @@ void BM_IncrementalDeleteWithRederive(benchmark::State& state) {
     auto update = db.MakeUpdate();
     update.Delete("edge", {Value::Int(n / 2 - 1), Value::Int(n / 2)});
     state.ResumeTiming();
-    const auto result = db.Apply(update);
+    const auto result = db.ApplyRequest(update.Request());
     benchmark::DoNotOptimize(result.total_deleted);
   }
 }

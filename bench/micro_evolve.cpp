@@ -214,7 +214,7 @@ Cell RunCell(const Shape& shape, const BaseFacts& base,
   const auto [warm_pred, warm_row] = WarmFact(shape.cone, base);
   Database::Update warm = db.MakeUpdate();
   warm.Insert(warm_pred, warm_row);
-  db.Apply(warm);
+  db.ApplyRequest(warm.Request());
 
   util::WallTimer timer;
   const Database::EvolveResult result =

@@ -11,16 +11,20 @@
 //            erases proven deaths.
 //
 // Each (shape, mix) pre-generates one deterministic update stream and
-// replays it under every strategy × worker count.  Final stores must agree:
+// replays it under every strategy × worker count.  Every cell runs the
+// production path — Database::ApplyRequestParallel on one TaskRouter of
+// `workers` threads built for the cell — so w4/w1 compares one code path
+// at two pool sizes.  Final stores must agree:
 // the harness cross-checks an order-independent checksum per cell, so the
 // bench doubles as an equivalence stress.  `maint_ops` is the uniform
 // deletion-pipeline effort metric every strategy reports
 // (ComponentUpdateStats::maint_ops); the deletion-heavy summary ratios are
 // self-gated at >= 2x, the tentpole's acceptance bar.
 //
-// NOTE on determinism: serial maint_ops are exactly reproducible and CI
-// gates them exactly.  Parallel B/F re-probe counts depend on physical row
-// order (scheduling-dependent), so w4 op counts are only banded.
+// NOTE on determinism: w1 maint_ops are exactly reproducible (one worker
+// runs the components in one order) and CI gates them exactly.  w4 B/F
+// re-probe counts depend on physical row order (scheduling-dependent), so
+// w4 op counts are only banded.
 //
 // Usage: micro_maint [--out=BENCH_maint.json] [--scale=1.0] [--trace=out.json]
 #include <cmath>
@@ -32,6 +36,7 @@
 
 #include "bench_common.hpp"
 #include "datalog/database.hpp"
+#include "runtime/task_router.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -194,7 +199,7 @@ std::uint64_t Checksum(const Database& db) {
 struct Cell {
   std::string workload;
   std::string strategy;
-  std::size_t workers = 1;  ///< 1 = serial ApplyRequest, else parallel
+  std::size_t workers = 1;  ///< router pool size
   std::uint64_t op_count = 0;
   std::uint64_t maint_ops = 0;
   std::uint64_t maint_avoided = 0;
@@ -216,6 +221,9 @@ Cell RunCell(const Workload& w, const std::string& strategy_name,
     db.Insert(pred, tuple);
   }
   db.Materialize();
+  runtime::TaskRouter router({.workers = workers});
+  const Database::ParallelOptions options{.router = &router,
+                                          .strategy = strategy};
 
   util::WallTimer timer;
   for (const std::vector<Op>& batch : w.batches) {
@@ -229,16 +237,8 @@ Cell RunCell(const Workload& w, const std::string& strategy_name,
       }
       ++cell.op_count;
     }
-    UpdateResult result;
-    if (workers <= 1) {
-      result = db.ApplyRequest(update.Request(), strategy);
-    } else {
-      result = db.ApplyRequestParallel(update.Request(),
-                                       {.scheduler_spec = "hybrid",
-                                        .workers = workers,
-                                        .strategy = strategy})
-                   .update;
-    }
+    const UpdateResult result =
+        db.ApplyRequestParallel(update.Request(), options).update;
     cell.maint_ops += result.total_maint_ops;
     for (const datalog::ComponentUpdateStats& c : result.components) {
       cell.maint_avoided += c.maint_avoided;
@@ -306,8 +306,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Summary ratios (serial cells; parallel op counts are
-  // scheduling-order sensitive for B/F).
+  // --- Summary ratios (w1 cells; w4 op counts are scheduling-order
+  // sensitive for B/F).
   const auto ops_of = [&cells](const std::string& workload,
                                const std::string& strategy) -> double {
     for (const Cell& c : cells) {

@@ -99,7 +99,7 @@ int main() {
     }
 
     util::WallTimer incremental_timer;
-    live.Apply(update);
+    live.ApplyRequest(update.Request());
     const double incremental_seconds = incremental_timer.ElapsedSeconds();
 
     // From-scratch reference over the same base.

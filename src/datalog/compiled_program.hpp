@@ -40,7 +40,8 @@ struct EvolveStats {
 /// copies its predecessor's table, so a table at least as new as the data
 /// renders any id).
 struct CompiledProgram {
-  /// 1-based, incremented by every successful AddRules/RemoveRule.
+  /// 1-based, incremented by every successful EvolveAddRules/
+  /// EvolveRemoveRule.
   std::uint64_t version = 1;
   Program program;
   Stratification strat;

@@ -58,10 +58,6 @@ Database::Update& Database::Update::Delete(std::string_view predicate,
   return *this;
 }
 
-UpdateResult Database::Apply(const Update& update) {
-  return ApplyRequest(update.request_, default_strategy_);
-}
-
 UpdateResult Database::PropagateEvolution(const CompiledProgram& next,
                                           const std::vector<bool>& affected,
                                           const GroupedBaseChanges& base,
@@ -209,43 +205,31 @@ Database::EvolveResult Database::EvolveRemoveRule(
   return result;
 }
 
-UpdateResult Database::ApplyParallel(const Update& update,
-                                     const ParallelOptions& options) {
-  return ApplyRequestParallel(update.request_, options).update;
-}
-
-UpdateResult Database::ApplyRequest(const UpdateRequest& request) {
-  return ApplyRequest(request, default_strategy_);
-}
-
-UpdateResult Database::ApplyRequest(const UpdateRequest& request,
-                                    MaintenanceStrategy strategy) {
+UpdateResult Database::ApplyRequest(
+    const UpdateRequest& request,
+    std::optional<MaintenanceStrategy> strategy) {
   DSCHED_CHECK_MSG(materialized_, "Materialize() before applying updates");
   // One snapshot acquire per dispatch: the whole cascade reads this pin.
   const std::shared_ptr<const CompiledProgram> snap = Snapshot();
   return PropagateUpdate(snap->program, snap->strat, store_,
-                         GroupedBaseChanges(snap->program, request), strategy);
+                         GroupedBaseChanges(snap->program, request),
+                         strategy.value_or(default_strategy_));
 }
 
 ParallelUpdateResult Database::ApplyRequestParallel(
     const UpdateRequest& request, const ParallelOptions& options) {
   DSCHED_CHECK_MSG(materialized_, "Materialize() before applying updates");
+  if (!options.strategy.has_value()) {
+    ParallelOptions resolved = options;
+    resolved.strategy = default_strategy_;
+    return ApplyRequestParallel(request, resolved);
+  }
   // One snapshot acquire per dispatch: program, stratification, and plan
   // all come off this pin, so the cascade can never observe a torn program
   // version even while an EvolveRules swap is pending elsewhere.
   const std::shared_ptr<const CompiledProgram> snap = Snapshot();
-  ParallelUpdateOptions parallel_options;
-  parallel_options.scheduler_spec = options.scheduler_spec;
-  parallel_options.workers = options.workers;
-  parallel_options.router = options.router;
-  parallel_options.strategy = options.strategy.value_or(default_strategy_);
-  parallel_options.frontier = options.frontier;
-  parallel_options.epoch = options.epoch;
-  parallel_options.plan = &snap->plan;
-  parallel_options.memory_budget = options.memory_budget;
-  parallel_options.account = options.account;
-  return ::dsched::datalog::ApplyParallel(snap->program, snap->strat, store_,
-                                          request, parallel_options);
+  return ApplyParallel(snap->program, snap->strat, &snap->plan, store_,
+                       request, options);
 }
 
 }  // namespace dsched::datalog

@@ -7,9 +7,11 @@
 //   db.Insert("edge", {db.Sym("a"), db.Sym("b")});
 //   db.Materialize();
 //   auto rows = db.Query("path");
-//   Database::Update u;
+//   runtime::TaskRouter router({.workers = 4});
+//   auto u = db.MakeUpdate();
 //   u.Insert("edge", {db.Sym("b"), db.Sym("c")});
-//   auto stats = db.Apply(u);         // incremental, not from scratch
+//   auto result = db.ApplyRequestParallel(u.Request(), {.router = &router});
+//   // result.update: incremental, not from scratch; result.run: executor
 //
 // Program-derived state lives in a versioned, immutable CompiledProgram
 // snapshot (compiled_program.hpp).  EvolveAddRules/EvolveRemoveRule publish
@@ -34,11 +36,6 @@
 #include "datalog/parser.hpp"
 #include "datalog/relation.hpp"
 #include "datalog/stratify.hpp"
-
-namespace dsched::runtime {
-class TaskRouter;
-class StratumFrontier;
-}
 
 namespace dsched::datalog {
 
@@ -100,52 +97,25 @@ class Database {
   /// Starts an update batch.
   [[nodiscard]] Update MakeUpdate() { return Update(*this); }
 
-  /// Applies a batch incrementally.  Requires Materialize() first.
-  UpdateResult Apply(const Update& update);
-
-  /// Applies a batch incrementally with the per-component phases executed
-  /// in parallel on worker threads, ordered by a scheduler (see
-  /// datalog/parallel_update.hpp).  Final state identical to Apply().
-  struct ParallelOptions {
-    std::string scheduler_spec = "hybrid";
-    std::size_t workers = 4;
-    /// When set, the update's cascade runs on this shared router instead of
-    /// a private pool and `workers` is ignored (see parallel_update.hpp).
-    runtime::TaskRouter* router = nullptr;
-    /// Maintenance strategy for this update; empty inherits the database
-    /// default (SetDefaultStrategy).
-    std::optional<MaintenanceStrategy> strategy;
-    /// Epoch pipelining (runtime/pipeline.hpp): when `frontier` is set the
-    /// cascade gates on epoch-1's finalized levels and publishes its own,
-    /// using this database's cached PipelinePlan.  The caller owns the
-    /// frontier (one per session).
-    runtime::StratumFrontier* frontier = nullptr;
-    std::uint64_t epoch = 0;
-    /// Live-resource ceiling over the cascade's accounted task utilities
-    /// (0 = account only) and the optionally shared account it meters
-    /// (see parallel_update.hpp / runtime/executor.hpp).
-    std::uint64_t memory_budget = 0;
-    runtime::ResourceAccount* account = nullptr;
-  };
-  UpdateResult ApplyParallel(const Update& update,
-                             const ParallelOptions& options);
-  UpdateResult ApplyParallel(const Update& update) {
-    return ApplyParallel(update, ParallelOptions{});
-  }
-
-  /// Raw-request variants of Apply/ApplyParallel for callers (the service
-  /// session loop) that already hold predicate-id batches.  The parallel
-  /// variant also surfaces executor-level RunStats.  Each dispatch pins the
-  /// compiled-program snapshot exactly once and reads program/strat/plan
-  /// off that pin.
-  UpdateResult ApplyRequest(const UpdateRequest& request);
-  UpdateResult ApplyRequest(const UpdateRequest& request,
-                            MaintenanceStrategy strategy);
+  /// THE update path: applies a batch incrementally with the
+  /// per-component phases run as tasks on options.router's workers,
+  /// ordered by a scheduler (see datalog/parallel_update.hpp), and
+  /// surfaces the executor's RunStats.  An empty options.strategy inherits
+  /// the database default.  Requires Materialize() first.  Each dispatch
+  /// pins the compiled-program snapshot exactly once and reads
+  /// program/strat/plan off that pin.
+  using ParallelOptions = ParallelUpdateOptions;
   ParallelUpdateResult ApplyRequestParallel(const UpdateRequest& request,
                                             const ParallelOptions& options);
 
-  /// Default maintenance strategy for Apply/ApplyRequest and for
-  /// ApplyParallel calls that don't pick their own (maintenance.hpp).
+  /// The serial reference: the same batch through PropagateUpdate on the
+  /// calling thread, which parallel and pipelined results are compared
+  /// against.  Final state identical to ApplyRequestParallel.
+  UpdateResult ApplyRequest(const UpdateRequest& request,
+                            std::optional<MaintenanceStrategy> strategy = {});
+
+  /// Default maintenance strategy for updates and rule evolutions that
+  /// don't pick their own (maintenance.hpp).
   void SetDefaultStrategy(MaintenanceStrategy strategy) {
     default_strategy_ = strategy;
   }
@@ -175,14 +145,6 @@ class Database {
   /// snapshot is built before anything is published).
   EvolveResult EvolveAddRules(std::string_view rules_text);
   EvolveResult EvolveRemoveRule(std::string_view clause_text);
-
-  /// Back-compat shims returning just the cascade result.
-  UpdateResult AddRules(std::string_view rules_text) {
-    return EvolveAddRules(rules_text).update;
-  }
-  UpdateResult RemoveRule(std::string_view clause_text) {
-    return EvolveRemoveRule(clause_text).update;
-  }
 
   /// Pins the current compiled snapshot.  The one acquire a concurrent
   /// reader needs: everything program-derived hangs off the returned

@@ -1,6 +1,7 @@
 #include "datalog/incremental.hpp"
 
 #include <sstream>
+#include <string>
 #include <unordered_set>
 
 #include "datalog/delta_buffer.hpp"
@@ -133,12 +134,24 @@ std::string UpdateResult::ToString(const Program& program,
 GroupedBaseChanges::GroupedBaseChanges(const Program& program,
                                        const UpdateRequest& request)
     : insertions(program.NumPredicates()), deletions(program.NumPredicates()) {
-  for (const auto& [pred, tuple] : request.insertions) {
+  // Validated here, on the caller's thread, so a malformed batch fails the
+  // update before any task runs instead of tripping a store invariant on a
+  // pool worker.
+  const auto check = [&program](std::uint32_t pred, const Tuple& tuple) {
     DSCHED_CHECK_MSG(pred < program.NumPredicates(), "unknown predicate id");
+    if (tuple.size() != program.predicate_arities[pred]) {
+      throw util::InvalidArgument(
+          "arity mismatch: '" + program.predicate_names[pred] + "' takes " +
+          std::to_string(program.predicate_arities[pred]) + " values, got " +
+          std::to_string(tuple.size()));
+    }
+  };
+  for (const auto& [pred, tuple] : request.insertions) {
+    check(pred, tuple);
     insertions[pred].push_back(tuple);
   }
   for (const auto& [pred, tuple] : request.deletions) {
-    DSCHED_CHECK_MSG(pred < program.NumPredicates(), "unknown predicate id");
+    check(pred, tuple);
     deletions[pred].push_back(tuple);
   }
 }

@@ -88,6 +88,8 @@ struct GroupedBaseChanges {
   std::vector<std::vector<Tuple>> deletions;
 
   GroupedBaseChanges() = default;
+  /// Throws util::InvalidArgument when a tuple's arity does not match its
+  /// predicate's.
   GroupedBaseChanges(const Program& program, const UpdateRequest& request);
 };
 

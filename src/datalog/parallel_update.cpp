@@ -1,7 +1,5 @@
 #include "datalog/parallel_update.hpp"
 
-#include <algorithm>
-
 #include "datalog/delta_buffer.hpp"
 #include "graph/digraph_builder.hpp"
 #include "sched/factory.hpp"
@@ -12,12 +10,17 @@ namespace dsched::datalog {
 
 ParallelUpdateResult ApplyParallel(const Program& program,
                                    const Stratification& strat,
+                                   const PipelinePlan* plan,
                                    RelationStore& store,
                                    const UpdateRequest& request,
                                    const ParallelUpdateOptions& options) {
+  DSCHED_CHECK_MSG(options.router != nullptr,
+                   "a parallel update needs a TaskRouter to run on");
   DSCHED_CHECK_MSG(options.scheduler_spec.find("oracle") == std::string::npos,
                    "the clairvoyant oracle cannot drive a live update — it "
                    "needs the outcome in advance");
+  const MaintenanceStrategy strategy =
+      options.strategy.value_or(MaintenanceStrategy::kDRed);
   util::WallTimer total_timer;
   const std::size_t num_preds = program.NumPredicates();
   const std::size_t num_comps = strat.NumComponents();
@@ -122,18 +125,14 @@ ParallelUpdateResult ApplyParallel(const Program& program,
   // One write buffer per executor worker: a phase stages its base inserts
   // per shard and publishes them lock-free (see delta_buffer.hpp).  Buffers
   // are indexed by the worker running the task, so each is single-owner —
-  // on a shared router that means one buffer per POOL worker, since worker
-  // indices span the router's pool.
-  const std::size_t num_workers = options.router != nullptr
-                                      ? options.router->NumWorkers()
-                                      : std::max<std::size_t>(options.workers, 1);
-  std::vector<StoreWriteBuffer> scratch(num_workers);
+  // one buffer per ROUTER worker, since worker indices span its pool.
+  std::vector<StoreWriteBuffer> scratch(options.router->NumWorkers());
   for (StoreWriteBuffer& buffer : scratch) {
     buffer.SetEpoch(options.epoch);
   }
 
   const auto run_phase = [&](std::uint32_t c, std::size_t worker) -> bool {
-    stats[c] = RunMaintenancePhase(options.strategy, program, strat, c, store,
+    stats[c] = RunMaintenancePhase(strategy, program, strat, c, store,
                                    base, net, &scratch[worker]);
     bool changed = false;
     for (const std::uint32_t p : strat.component_members[c]) {
@@ -160,33 +159,33 @@ ParallelUpdateResult ApplyParallel(const Program& program,
   runtime::PipelineGate gate;
   std::vector<std::uint32_t> node_level;
   std::vector<std::uint32_t> node_fence;
-  const bool gated = options.frontier != nullptr && options.plan != nullptr;
+  const bool gated = options.frontier != nullptr;
   if (gated) {
-    const PipelinePlan& plan = *options.plan;
+    DSCHED_CHECK_MSG(plan != nullptr, "a pipelined update needs its plan");
     node_level.assign(num_nodes, 0);
     node_fence.assign(num_nodes, 0);
     for (std::size_t p = 0; p < num_preds; ++p) {
       const std::uint32_t c = strat.component_of[p];
-      node_level[p] = plan.component_level[c];
+      node_level[p] = plan->component_level[c];
       node_fence[p] = component_node[c] == util::kInvalidTask
-                          ? plan.component_fence[c]
+                          ? plan->component_fence[c]
                           : 0;
     }
     for (std::uint32_t c = 0; c < num_comps; ++c) {
       if (component_node[c] != util::kInvalidTask) {
-        node_level[component_node[c]] = plan.component_level[c];
-        node_fence[component_node[c]] = plan.component_fence[c];
+        node_level[component_node[c]] = plan->component_level[c];
+        node_fence[component_node[c]] = plan->component_fence[c];
       }
     }
     gate.frontier = options.frontier;
     gate.epoch = options.epoch;
     gate.node_level = &node_level;
     gate.node_fence = &node_fence;
-    gate.num_levels = plan.num_levels;
+    gate.num_levels = plan->num_levels;
   }
 
   auto scheduler = sched::CreateScheduler(options.scheduler_spec);
-  const runtime::Executor::WorkerTaskBody task_body(
+  const runtime::Executor::TaskBody task_body(
       [&](util::TaskId t, std::size_t worker) -> bool {
         if (t >= num_preds) {
           return run_phase(node_component[t], worker);
@@ -201,19 +200,11 @@ ParallelUpdateResult ApplyParallel(const Program& program,
         // Derived predicate collector: forward the owner's verdict.
         return pred_changed[p] != 0;
       });
-  const runtime::PipelineGate* gate_ptr = gated ? &gate : nullptr;
-  result.run =
-      options.router != nullptr
-          ? runtime::Executor::RunOn(*options.router, result.trace, *scheduler,
-                                     task_body,
-                                     {.gate = gate_ptr,
-                                      .memory_budget = options.memory_budget,
-                                      .account = options.account})
-          : runtime::Executor::Run(result.trace, *scheduler, task_body,
-                                   {.workers = options.workers,
-                                    .gate = gate_ptr,
-                                    .memory_budget = options.memory_budget,
-                                    .account = options.account});
+  result.run = runtime::Executor::Run(
+      *options.router, result.trace, *scheduler, task_body,
+      {.gate = gated ? &gate : nullptr,
+       .memory_budget = options.memory_budget,
+       .account = options.account});
 
   // --- Assemble the sequential-compatible result.
   for (const std::uint32_t c : strat.component_order) {

@@ -18,6 +18,7 @@
 // "activated ancestors first" rule doing real synchronization work.
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "datalog/incremental.hpp"
@@ -29,36 +30,32 @@
 
 namespace dsched::datalog {
 
-/// Options for one parallel update.
+/// Options for one parallel update — also Database::ParallelOptions.
 struct ParallelUpdateOptions {
   /// Scheduler factory spec driving the execution ("hybrid", "levelbased",
-  /// "lbl:<k>", "logicblox", "signal", "oracle" is NOT allowed — it would
+  /// "lbl:<k>", "logicblox", "signal"; "oracle" is NOT allowed — it would
   /// need the outcome in advance).
   std::string scheduler_spec = "hybrid";
-  std::size_t workers = 4;
-  /// When set, the update runs on this host-provided shared router (one
-  /// channel per update) instead of constructing a private pool, and
-  /// `workers` is ignored in favour of router->NumWorkers().  This is how
-  /// the service layer interleaves many sessions' cascades on one pool.
-  /// The caller must keep the router alive for the duration of the call.
+  /// Required: the router whose shared pool runs the cascade (one channel
+  /// per update).  This is how the service layer interleaves many
+  /// sessions' cascades on one pool; a standalone caller constructs its
+  /// own (one worker = a serial run).  Must outlive the call.
   runtime::TaskRouter* router = nullptr;
   /// How each component phase maintains deletions (maintenance.hpp).
-  /// B/F falls back to DRed per component where required.
-  MaintenanceStrategy strategy = MaintenanceStrategy::kDRed;
+  /// B/F falls back to DRed per component where required.  Empty means
+  /// DRed here and the database default through Database.
+  std::optional<MaintenanceStrategy> strategy;
 
   // --- epoch pipelining (runtime/pipeline.hpp, DESIGN.md §12) ----------
   /// When set, this update joins its session's epoch pipeline: the
   /// coordinator holds back each component task until epoch-1 has
   /// finalized every level the task's writes could race with (the fences
-  /// in `plan`), and publishes this cascade's own per-level finalization
-  /// as the levels drain.  Requires `plan` (which must outlive the call).
-  /// Null = unpipelined.
+  /// of the `plan` argument), and publishes this cascade's own per-level
+  /// finalization as the levels drain.  Null = unpipelined.
   runtime::StratumFrontier* frontier = nullptr;
   /// The dense 1-based session epoch of this update; stamped on every
   /// published DeltaChunk and used to gate on epoch-1's frontier entry.
   std::uint64_t epoch = 0;
-  /// Levels + fences for the program (Database::Plan() caches one).
-  const PipelinePlan* plan = nullptr;
 
   // --- resource accounting (runtime/executor.hpp) ----------------------
   /// Live-resource ceiling for this update's accounted task utilities;
@@ -82,11 +79,16 @@ struct ParallelUpdateResult {
   trace::JobTrace trace;
 };
 
-/// Applies `request` to the materialized `store` using `workers` threads.
+/// Applies `request` to the materialized `store` on options.router's
+/// workers.  `plan` (levels + fences; Database::Plan() caches one) is
+/// required when options.frontier is set and may be null otherwise.
 /// Equivalent to the serial PropagateUpdate in final state (the tests
 /// verify store equality); faster when independent components dominate.
+/// Throws util::InvalidArgument on a malformed request (unknown predicate,
+/// wrong arity) before any task runs.
 [[nodiscard]] ParallelUpdateResult ApplyParallel(
-    const Program& program, const Stratification& strat, RelationStore& store,
-    const UpdateRequest& request, const ParallelUpdateOptions& options = {});
+    const Program& program, const Stratification& strat,
+    const PipelinePlan* plan, RelationStore& store,
+    const UpdateRequest& request, const ParallelUpdateOptions& options);
 
 }  // namespace dsched::datalog

@@ -54,38 +54,41 @@ class CompletionBuffer {
   std::vector<Completion> items_;
 };
 
-/// How a cascade hands a ready batch to its workers — the only difference
-/// between the private-pool and shared-router paths.
-using SubmitFn = std::function<void(std::span<const TaskId>)>;
+}  // namespace
 
-// The coordinator loop, shared by Run (private pool) and RunOn (shared
-// router).  The scheduler and the activation bookkeeping live exclusively
-// on this (coordinator) thread — workers never touch them, so neither needs
-// a lock.  The ONLY coordinator/worker shared state is `completions` (plus,
-// when gated, the epoch frontier shared with the neighbouring epochs'
-// coordinators).
-Executor::RunStats RunCascade(const trace::JobTrace& trace,
-                              sched::Scheduler& scheduler,
-                              std::size_t num_workers,
-                              const Executor::Options& options,
-                              CompletionBuffer& completions,
-                              const SubmitFn& submit) {
+// The coordinator loop.  The scheduler and the activation bookkeeping live
+// exclusively on this (coordinator) thread — workers never touch them, so
+// neither needs a lock.  The ONLY coordinator/worker shared state is
+// `completions` (plus, when gated, the epoch frontier shared with the
+// neighbouring epochs' coordinators).
+Executor::RunStats Executor::Run(TaskRouter& router,
+                                 const trace::JobTrace& trace,
+                                 sched::Scheduler& scheduler,
+                                 const TaskBody& body,
+                                 const Options& options) {
+  CompletionBuffer completions;
+  TaskRouter::Channel channel =
+      router.OpenChannel([&](TaskId t, std::size_t worker) {
+        const bool changed =
+            body ? body(t, worker) : trace.Info(t).output_changes;
+        completions.Push(t, changed);
+      });
+  const std::size_t num_workers = router.NumWorkers();
   const graph::Dag& dag = trace.Graph();
   Executor::RunStats stats;
   util::WallTimer wall;
   util::Stopwatch sched_watch;
   util::Stopwatch dispatch_watch;
   util::Stopwatch idle_watch;
-  std::size_t window = options.dispatch_window > 0
-                           ? options.dispatch_window
-                           : std::max<std::size_t>(16, 2 * num_workers);
-  // Adaptive window controller (only when the caller didn't pin one):
-  // every kControlPeriod completion drains, compare the coordinator's
-  // dispatch vs idle duty cycle since the last decision.  Dispatch-bound
-  // means per-batch overhead dominates — double the window to amortize it;
-  // strongly idle-bound means the workers are the bottleneck and coarse
-  // pops only make the scheduler's choices staler — halve it.
-  const bool adaptive = options.dispatch_window == 0 && options.adaptive_window;
+  // Max tasks per PopReadyBatch call.  The dispatch loop keeps popping
+  // until the scheduler runs dry, so this bounds batch granularity, not
+  // total in-flight work.  A duty-cycle controller adapts it: every
+  // kControlPeriod completion drains, compare the coordinator's dispatch
+  // vs idle time since the last decision.  Dispatch-bound means per-batch
+  // overhead dominates — double the window to amortize it; strongly
+  // idle-bound means the workers are the bottleneck and coarse pops only
+  // make the scheduler's choices staler — halve it.
+  std::size_t window = std::max<std::size_t>(16, 2 * num_workers);
   constexpr std::size_t kMinWindow = 4;
   constexpr std::size_t kMaxWindow = 4096;
   constexpr std::uint64_t kControlPeriod = 16;
@@ -170,7 +173,7 @@ Executor::RunStats RunCascade(const trace::JobTrace& trace,
     inflight += tasks.size();
     stats.inflight_high_water =
         std::max<std::uint64_t>(stats.inflight_high_water, inflight);
-    submit(tasks);
+    channel.SubmitBatch(tasks);
   };
   const auto account_task = [&](std::uint64_t utility, std::uint64_t level) {
     stats.mem_acquired_bytes += utility;
@@ -425,7 +428,7 @@ Executor::RunStats RunCascade(const trace::JobTrace& trace,
         gate->frontier->Advance(gate->epoch, published_levels);
       }
     }
-    if (adaptive && stats.completion_drains - control_drains >= kControlPeriod) {
+    if (stats.completion_drains - control_drains >= kControlPeriod) {
       control_drains = stats.completion_drains;
       const double d = dispatch_watch.TotalSeconds() - control_dispatch;
       const double i = idle_watch.TotalSeconds() - control_idle;
@@ -454,72 +457,10 @@ Executor::RunStats RunCascade(const trace::JobTrace& trace,
   stats.sched_wall_seconds = sched_watch.TotalSeconds();
   stats.dispatch_wall_seconds = dispatch_watch.TotalSeconds();
   stats.idle_wall_seconds = idle_watch.TotalSeconds();
-  return stats;
-}
-
-}  // namespace
-
-Executor::RunStats Executor::Run(const trace::JobTrace& trace,
-                                 sched::Scheduler& scheduler,
-                                 const WorkerTaskBody& body,
-                                 const Options& options) {
-  DSCHED_CHECK_MSG(options.workers >= 1, "need at least one worker");
-  CompletionBuffer completions;
-  ThreadPool pool(options.workers,
-                  [&](ThreadPool::WorkItem item, std::size_t worker) {
-                    const auto t = static_cast<TaskId>(item);
-                    const bool changed =
-                        body ? body(t, worker) : trace.Info(t).output_changes;
-                    completions.Push(t, changed);
-                  });
-  // Private pool: items are bare TaskIds widened into reusable scratch.
-  std::vector<ThreadPool::WorkItem> wide;
-  RunStats stats = RunCascade(
-      trace, scheduler, options.workers, options, completions,
-      [&](std::span<const TaskId> tasks) {
-        wide.assign(tasks.begin(), tasks.end());
-        pool.SubmitBatch(wide);
-      });
-  pool.Wait();
-
-  const ThreadPoolStats pool_stats = pool.Stats();
-  stats.pool_steals = pool_stats.steals;
-  stats.pool_sleeps = pool_stats.sleeps;
-  stats.pool_wakeups = pool_stats.wakeups;
-  return stats;
-}
-
-Executor::RunStats Executor::RunOn(TaskRouter& router,
-                                   const trace::JobTrace& trace,
-                                   sched::Scheduler& scheduler,
-                                   const WorkerTaskBody& body,
-                                   const Options& options) {
-  CompletionBuffer completions;
-  TaskRouter::Channel channel =
-      router.OpenChannel([&](TaskId t, std::size_t worker) {
-        const bool changed =
-            body ? body(t, worker) : trace.Info(t).output_changes;
-        completions.Push(t, changed);
-      });
-  RunStats stats = RunCascade(
-      trace, scheduler, router.NumWorkers(), options, completions,
-      [&](std::span<const TaskId> tasks) { channel.SubmitBatch(tasks); });
   // All completions are counted, so Close's precondition holds; it spins
   // out any worker still unwinding from the body before returning.
   channel.Close();
   return stats;
-}
-
-Executor::RunStats Executor::Run(const trace::JobTrace& trace,
-                                 sched::Scheduler& scheduler,
-                                 const TaskBody& body,
-                                 const Options& options) {
-  if (!body) {
-    return Run(trace, scheduler, WorkerTaskBody{}, options);
-  }
-  return Run(trace, scheduler,
-             WorkerTaskBody([&body](TaskId t, std::size_t) { return body(t); }),
-             options);
 }
 
 namespace {

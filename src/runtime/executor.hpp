@@ -27,7 +27,6 @@
 #include "obs/metrics.hpp"
 #include "runtime/pipeline.hpp"
 #include "runtime/task_router.hpp"
-#include "runtime/thread_pool.hpp"
 #include "sched/scheduler.hpp"
 #include "trace/job_trace.hpp"
 
@@ -112,31 +111,16 @@ struct ResourceAccount {
 class Executor {
  public:
   /// A task body: does the task's work, returns true iff the task's output
-  /// changed (which activates its children).  Bodies run concurrently and
-  /// must not touch the scheduler.  A null body falls back to the trace's
-  /// recorded output_changes bits and does no work.
-  using TaskBody = std::function<bool(TaskId)>;
-
-  /// Worker-aware task body: like TaskBody, but also receives the index of
-  /// the pool worker running the task (in [0, Options::workers)).  This is
-  /// how per-worker state — e.g. the parallel Datalog engine's worker-local
-  /// delta buffers — reaches the body without thread-local lookups.
-  using WorkerTaskBody = std::function<bool(TaskId, std::size_t)>;
+  /// changed (which activates its children).  `worker` is the index of the
+  /// router worker running the task (in [0, TaskRouter::NumWorkers())) —
+  /// how per-worker state such as the parallel Datalog engine's
+  /// worker-local delta buffers reaches the body without thread-local
+  /// lookups.  Bodies run concurrently and must not touch the scheduler.
+  /// A null body falls back to the trace's recorded output_changes bits
+  /// and does no work.
+  using TaskBody = std::function<bool(TaskId task, std::size_t worker)>;
 
   struct Options {
-    std::size_t workers = 4;
-    /// Max tasks per PopReadyBatch call; 0 = auto.  The dispatch loop
-    /// keeps calling until the scheduler runs dry, so this bounds batch
-    /// granularity, not total in-flight work.  A nonzero value pins the
-    /// window (disables the adaptive controller).
-    std::size_t dispatch_window = 0;
-    /// With dispatch_window == 0: true (default) runs the duty-cycle
-    /// controller — the window starts at max(16, 2 * workers) and is
-    /// doubled/halved from the dispatch/idle stopwatch ratio every few
-    /// completion drains; false keeps the fixed max(16, 2 * workers)
-    /// heuristic (the pre-controller behaviour, kept for A/B runs — see
-    /// bench/micro_executor --adaptive=0).
-    bool adaptive_window = true;
     /// Epoch-pipelining context (runtime/pipeline.hpp).  When set, popped
     /// tasks whose fence exceeds epoch-1's finalized level are HELD at the
     /// coordinator (never blocking a pool worker) until the frontier
@@ -187,7 +171,9 @@ class Executor {
     std::uint64_t completion_drains = 0;
     /// Worker-side completion pushes (one short lock each; == executed).
     std::uint64_t completion_pushes = 0;
-    /// Work-stealing pool behaviour.
+    /// Work-stealing pool behaviour.  Run leaves these zero (the pool is
+    /// shared, see TaskRouter::PoolStats); callers that own a router fold
+    /// its counter deltas in here.
     std::uint64_t pool_steals = 0;
     std::uint64_t pool_sleeps = 0;
     std::uint64_t pool_wakeups = 0;
@@ -222,7 +208,7 @@ class Executor {
     std::uint64_t mem_forced = 0;
 
     // --- adaptive dispatch window ---
-    /// Controller decisions that changed the window.
+    /// Duty-cycle controller decisions that changed the window.
     std::uint64_t window_adjusts = 0;
     /// The window in effect when the cascade finished.
     std::uint64_t final_dispatch_window = 0;
@@ -241,31 +227,19 @@ class Executor {
                        const std::string& prefix) const;
   };
 
-  /// Runs the cascade to completion on a private pool of Options::workers
-  /// threads created for this run.  The scheduler must be fresh (Prepare is
-  /// called here).  Throws util::LogicError on scheduler deadlock.
-  static RunStats Run(const trace::JobTrace& trace,
-                      sched::Scheduler& scheduler, const WorkerTaskBody& body,
-                      const Options& options);
-
-  /// Convenience overload for bodies that don't care which worker runs
-  /// them.
-  static RunStats Run(const trace::JobTrace& trace,
+  /// Runs the cascade to completion on `router`'s shared pool.  The
+  /// scheduler must be fresh (Prepare is called here with
+  /// router.NumWorkers() processors).  Tasks are tagged with a router
+  /// channel, so concurrent Run calls from different coordinator threads
+  /// (one per service session) interleave their cascades on the same
+  /// workers; a caller that wants a private pool constructs its own router
+  /// (one worker = a serial run).  RunStats pool_* counters stay zero:
+  /// steal/sleep behaviour belongs to the shared pool, not to any one
+  /// cascade (see TaskRouter::PoolStats / host.pool.* metrics).  Throws
+  /// util::LogicError on scheduler deadlock.
+  static RunStats Run(TaskRouter& router, const trace::JobTrace& trace,
                       sched::Scheduler& scheduler, const TaskBody& body,
                       const Options& options);
-
-  /// Multi-tenant variant: runs the cascade on a host-provided router's
-  /// SHARED pool instead of constructing one.  Tasks are tagged with a
-  /// router channel, so concurrent RunOn calls from different coordinator
-  /// threads (one per service session) interleave their cascades on the
-  /// same workers.  Options::workers is ignored — the scheduler is
-  /// prepared with router.NumWorkers() processors, and worker indices seen
-  /// by `body` span the router's pool.  RunStats pool_* counters stay zero
-  /// here: steal/sleep behaviour belongs to the shared pool, not to any
-  /// one cascade (see TaskRouter::PoolStats / host.pool.* metrics).
-  static RunStats RunOn(TaskRouter& router, const trace::JobTrace& trace,
-                        sched::Scheduler& scheduler,
-                        const WorkerTaskBody& body, const Options& options);
 };
 
 }  // namespace dsched::runtime

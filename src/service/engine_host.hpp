@@ -12,9 +12,9 @@
 //     Session "b" ─► ... (same pool, own everything else)
 //
 // Every Session owns its parsed+stratified program, its sharded store, and
-// a serialized-per-session apply loop; the ONLY shared mutable state is the
-// worker pool (via TaskRouter channels) and the metrics registry — both
-// multi-tenant by construction.  Sessions hold the HostCore via
+// its apply threads; the ONLY shared mutable state is the worker pool (via
+// TaskRouter channels) and the metrics registry — both multi-tenant by
+// construction.  Sessions hold the HostCore via
 // shared_ptr, so a Session outliving its EngineHost stays valid (the pool
 // joins when the last holder drops).
 #pragma once
@@ -59,8 +59,8 @@ struct SessionOptions {
   /// Metrics prefix ("session.<name>.*"); auto-named "s<id>" when empty.
   std::string name;
   /// Scheduler factory spec ("hybrid", "levelbased", "lbl:<k>",
-  /// "logicblox", "signal"), or "serial" for the single-threaded
-  /// serial engine (no pool involvement).  Empty → host default.
+  /// "logicblox", "signal") ordering this session's cascades on the shared
+  /// pool.  Empty → host default.
   /// Unknown specs are rejected at OpenSession with an error listing the
   /// valid values.
   std::string scheduler_spec;
@@ -73,8 +73,7 @@ struct SessionOptions {
   std::size_t queue_capacity = 0;
   /// Epoch-pipeline depth K: up to K cascades of this session overlap on
   /// the shared pool, fenced per dependency level by a StratumFrontier
-  /// (runtime/pipeline.hpp).  0 → host default.  Clamped to [1, 64];
-  /// forced to 1 for the "serial" engine.
+  /// (runtime/pipeline.hpp).  0 → host default.  Clamped to [1, 64].
   /// Futures still resolve in dense epoch order regardless of depth.
   std::size_t pipeline_depth = 0;
   /// Hard per-session memory ceiling, in accounted bytes: every cascade
@@ -84,7 +83,6 @@ struct SessionOptions {
   /// total over this bound.  Exhaustion therefore surfaces as slower
   /// cascades — and ultimately as Submit blocking on the bounded queue —
   /// never as a failed update.  0 = no ceiling (accounting only).
-  /// Ignored by the "serial" engine, which runs no accounted cascade.
   std::uint64_t memory_budget = 0;
 };
 

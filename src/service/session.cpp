@@ -25,24 +25,22 @@ std::string ResolveSpec(const detail::HostCore& core,
   const std::string& spec =
       options.scheduler_spec.empty() ? core.options.default_scheduler
                                      : options.scheduler_spec;
-  if (spec != "serial") {
-    if (spec.find("oracle") != std::string::npos) {
-      throw util::InvalidArgument(
-          "sessions cannot use the clairvoyant oracle scheduler — it needs "
-          "each update's outcome in advance");
+  if (spec.find("oracle") != std::string::npos) {
+    throw util::InvalidArgument(
+        "sessions cannot use the clairvoyant oracle scheduler — it needs "
+        "each update's outcome in advance");
+  }
+  // Fail at open, not at first Submit: instantiate once to validate, and
+  // name every accepted spec in the rejection.
+  try {
+    (void)sched::CreateScheduler(spec);
+  } catch (const util::Error&) {
+    std::string message = "unknown scheduler spec '" + spec +
+                          "'; valid values:";
+    for (const std::string& known : sched::KnownSchedulerSpecs()) {
+      message += " " + known;
     }
-    // Fail at open, not at first Submit: instantiate once to validate,
-    // and name every accepted spec in the rejection.
-    try {
-      (void)sched::CreateScheduler(spec);
-    } catch (const util::Error&) {
-      std::string message = "unknown scheduler spec '" + spec +
-                            "'; valid values: serial";
-      for (const std::string& known : sched::KnownSchedulerSpecs()) {
-        message += " " + known;
-      }
-      throw util::InvalidArgument(message);
-    }
+    throw util::InvalidArgument(message);
   }
   return spec;
 }
@@ -57,17 +55,11 @@ datalog::MaintenanceStrategy ResolveStrategy(const detail::HostCore& core,
 }
 
 std::size_t ResolveDepth(const detail::HostCore& core,
-                         const SessionOptions& options,
-                         const std::string& spec) {
-  std::size_t depth = options.pipeline_depth > 0
-                          ? options.pipeline_depth
-                          : core.options.default_pipeline_depth;
-  depth = std::clamp<std::size_t>(depth, 1, 64);
-  // The serial engine has no cascade to fence, so it cannot overlap epochs.
-  if (spec == "serial") {
-    depth = 1;
-  }
-  return depth;
+                         const SessionOptions& options) {
+  const std::size_t depth = options.pipeline_depth > 0
+                                ? options.pipeline_depth
+                                : core.options.default_pipeline_depth;
+  return std::clamp<std::size_t>(depth, 1, 64);
 }
 
 }  // namespace
@@ -79,7 +71,7 @@ Session::Session(std::shared_ptr<detail::HostCore> core,
       name_(ResolveName(id_, options)),
       spec_(ResolveSpec(*core_, options)),
       strategy_(ResolveStrategy(*core_, options)),
-      depth_(ResolveDepth(*core_, options, spec_)),
+      depth_(ResolveDepth(*core_, options)),
       memory_budget_(options.memory_budget),
       metrics_prefix_("session." + name_ + "."),
       db_(program_text),
@@ -274,21 +266,16 @@ void Session::ApplyOne(UpdateQueue::Job& job) {
   std::exception_ptr error;
   util::WallTimer cascade_timer;
   try {
-    if (spec_ == "serial") {
-      outcome.update = db_.ApplyRequest(job.request, strategy_);
-    } else {
-      datalog::ParallelUpdateResult result = db_.ApplyRequestParallel(
-          job.request, {.scheduler_spec = spec_,
-                        .workers = 0,  // ignored: the router decides
-                        .router = &core_->router,
-                        .strategy = strategy_,
-                        .frontier = depth_ > 1 ? &frontier_ : nullptr,
-                        .epoch = job.epoch,
-                        .memory_budget = memory_budget_,
-                        .account = &account_});
-      outcome.update = std::move(result.update);
-      outcome.run = result.run;
-    }
+    datalog::ParallelUpdateResult result = db_.ApplyRequestParallel(
+        job.request, {.scheduler_spec = spec_,
+                      .router = &core_->router,
+                      .strategy = strategy_,
+                      .frontier = depth_ > 1 ? &frontier_ : nullptr,
+                      .epoch = job.epoch,
+                      .memory_budget = memory_budget_,
+                      .account = &account_});
+    outcome.update = std::move(result.update);
+    outcome.run = result.run;
   } catch (...) {
     error = std::current_exception();
   }
@@ -304,6 +291,10 @@ void Session::ApplyOne(UpdateQueue::Job& job) {
   {
     std::unique_lock<std::mutex> lock(pipe_mutex_);
     pipe_cv_.wait(lock, [this, &job] { return applied_seq_ + 1 == job.epoch; });
+    // Publish the epoch BEFORE resolving its future, so a caller woken by
+    // the future already reads it back from AppliedEpoch().
+    applied_seq_ = job.epoch;
+    applied_epoch_.store(job.epoch, std::memory_order_release);
     if (error == nullptr) {
       inserted_total_ += outcome.update.total_inserted;
       deleted_total_ += outcome.update.total_deleted;
@@ -326,8 +317,6 @@ void Session::ApplyOne(UpdateQueue::Job& job) {
       job.promise.set_exception(error);
     }
     cascade_seconds_ += seconds;
-    applied_seq_ = job.epoch;
-    applied_epoch_.store(job.epoch, std::memory_order_release);
     if (admitted_epoch_ == applied_seq_) {
       busy_seconds_ += std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - busy_since_)
@@ -386,6 +375,8 @@ void Session::ApplyEvolve(UpdateQueue::Job& job) {
   // --- sequencer: trivially dense (this is the only in-flight epoch).
   {
     std::unique_lock<std::mutex> lock(pipe_mutex_);
+    applied_seq_ = job.epoch;
+    applied_epoch_.store(job.epoch, std::memory_order_release);
     if (error == nullptr) {
       inserted_total_ += outcome.update.total_inserted;
       deleted_total_ += outcome.update.total_deleted;
@@ -404,8 +395,6 @@ void Session::ApplyEvolve(UpdateQueue::Job& job) {
       job.promise.set_exception(error);
     }
     cascade_seconds_ += seconds;
-    applied_seq_ = job.epoch;
-    applied_epoch_.store(job.epoch, std::memory_order_release);
     evolving_ = false;
     busy_seconds_ += std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - busy_since_)

@@ -22,7 +22,8 @@
 // future for epoch N resolves, Query() reflects every batch up to N.
 //
 // K=1 degenerates to the classic serialized-per-session apply loop (no
-// frontier, no overlap); the "serial" engine is clamped to K=1 at open.
+// frontier, no overlap).  Every update cascade, at every K, runs through
+// Database::ApplyRequestParallel on the host's TaskRouter.
 //
 // Lifecycle: bootstrap (Insert base facts, Materialize) → live (Submit /
 // Query) → Close (stop accepting, drain the queue, join).  Close is
@@ -138,7 +139,7 @@ class Session {
   [[nodiscard]] datalog::MaintenanceStrategy Strategy() const {
     return strategy_;
   }
-  /// The resolved epoch-pipeline depth K (after eligibility clamping).
+  /// The resolved epoch-pipeline depth K (clamped to [1, 64]).
   [[nodiscard]] std::size_t PipelineDepth() const { return depth_; }
   /// The session's accounted-memory ceiling (0 = none) and its live
   /// account, shared by every in-flight epoch cascade.

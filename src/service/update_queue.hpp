@@ -33,13 +33,13 @@
 namespace dsched::service {
 
 /// What a fulfilled Submit future carries: which epoch the batch became,
-/// the engine-level result, and (for parallel sessions) the executor run.
+/// the engine-level result, and the executor run.
 struct UpdateOutcome {
   /// 1-based position of this batch in the session's apply order.
   std::uint64_t epoch = 0;
   datalog::UpdateResult update;
-  /// Executor stats of the cascade; default-initialized for sessions on
-  /// the serial engine.
+  /// Executor stats of the cascade; default-initialized for rule-evolution
+  /// epochs, whose cone cascade runs serially.
   runtime::Executor::RunStats run;
   /// Rule-evolution outcomes (EvolveAddRules / EvolveRemoveRule epochs
   /// only; plain Submit batches leave all three at their defaults).

@@ -10,6 +10,7 @@
 #include "datalog/parser.hpp"
 #include "datalog/stratify.hpp"
 #include "datalog/validate.hpp"
+#include "runtime/task_router.hpp"
 #include "util/error.hpp"
 
 namespace dsched::datalog {
@@ -153,21 +154,21 @@ TEST(AggregateIncrementalTest, SumTracksInsertsAndDeletes) {
 
   auto up1 = db.MakeUpdate();
   up1.Insert("stock", {db.Sym("p3"), db.Sym("c"), Value::Int(5)});
-  const UpdateResult r1 = db.Apply(up1);
+  const UpdateResult r1 = db.ApplyRequest(up1.Request());
   EXPECT_TRUE(db.Contains("total", {db.Sym("c"), Value::Int(35)}));
   EXPECT_FALSE(db.Contains("total", {db.Sym("c"), Value::Int(30)}));
   EXPECT_GT(r1.total_deleted, 0u);  // the stale group value left
 
   auto up2 = db.MakeUpdate();
   up2.Delete("stock", {db.Sym("p1"), db.Sym("c"), Value::Int(10)});
-  db.Apply(up2);
+  db.ApplyRequest(up2.Request());
   EXPECT_TRUE(db.Contains("total", {db.Sym("c"), Value::Int(25)}));
 
   // Emptying the group removes its row entirely.
   auto up3 = db.MakeUpdate();
   up3.Delete("stock", {db.Sym("p2"), db.Sym("c"), Value::Int(20)});
   up3.Delete("stock", {db.Sym("p3"), db.Sym("c"), Value::Int(5)});
-  db.Apply(up3);
+  db.ApplyRequest(up3.Request());
   EXPECT_TRUE(db.Query("total").empty());
 }
 
@@ -182,12 +183,12 @@ TEST(AggregateIncrementalTest, DownstreamOfAggregatePropagates) {
 
   auto up = db.MakeUpdate();
   up.Insert("stock", {db.Sym("q"), db.Sym("c"), Value::Int(50)});
-  db.Apply(up);
+  db.ApplyRequest(up.Request());
   EXPECT_TRUE(db.Contains("overstocked", {db.Sym("c")}));
 
   auto down = db.MakeUpdate();
   down.Delete("stock", {db.Sym("q"), db.Sym("c"), Value::Int(50)});
-  db.Apply(down);
+  db.ApplyRequest(down.Request());
   EXPECT_TRUE(db.Query("overstocked").empty());
 }
 
@@ -198,7 +199,7 @@ TEST(AggregateIncrementalTest, UntouchedGroupsStay) {
   db.Materialize();
   auto up = db.MakeUpdate();
   up.Insert("stock", {db.Sym("r"), db.Sym("a"), Value::Int(10)});
-  const UpdateResult result = db.Apply(up);
+  const UpdateResult result = db.ApplyRequest(up.Request());
   EXPECT_TRUE(db.Contains("total", {db.Sym("a"), Value::Int(11)}));
   EXPECT_TRUE(db.Contains("total", {db.Sym("b"), Value::Int(2)}));
   // Only group "a" changed: one delete (stale 1) + one insert (11), plus
@@ -222,6 +223,7 @@ TEST(AggregateIncrementalTest, ParallelMatchesSequential) {
   };
   auto sequential = build();
   auto parallel = build();
+  runtime::TaskRouter router({.workers = 2});
   for (int round = 0; round < 3; ++round) {
     auto up_seq = sequential->MakeUpdate();
     auto up_par = parallel->MakeUpdate();
@@ -229,8 +231,9 @@ TEST(AggregateIncrementalTest, ParallelMatchesSequential) {
                     sequential->Sym("b"), Value::Int(4 + round)};
     up_seq.Insert("stock", ins);
     up_par.Insert("stock", ins);
-    sequential->Apply(up_seq);
-    parallel->ApplyParallel(up_par);
+    sequential->ApplyRequest(up_seq.Request());
+    (void)parallel->ApplyRequestParallel(up_par.Request(),
+                                         {.router = &router});
     for (const char* pred : {"total", "n", "overstocked"}) {
       auto a = sequential->Query(pred);
       auto b = parallel->Query(pred);

@@ -402,7 +402,7 @@ TEST(DerivabilityTest, NullaryLiteralsAreMembershipProbes) {
   // by membership and finds the other job.
   Database::Update update = on.MakeUpdate();
   update.Delete("job", {Value::Int(7)});
-  on.Apply(update);
+  on.ApplyRequest(update.Request());
   EXPECT_EQ(on.Query("ready").size(), 1u);
   EXPECT_EQ(Sorted(on.Query("run")), std::vector<Tuple>{{Value::Int(8)}});
 }

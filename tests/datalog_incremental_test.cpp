@@ -58,7 +58,7 @@ TEST(IncrementalTest, InsertionExtendsClosure) {
 
   auto update = db.MakeUpdate();
   update.Insert("e", {Value::Int(2), Value::Int(3)});
-  const UpdateResult result = db.Apply(update);
+  const UpdateResult result = db.ApplyRequest(update.Request());
   EXPECT_EQ(db.Query("tc").size(), 6u);
   EXPECT_TRUE(db.Contains("tc", {Value::Int(0), Value::Int(3)}));
   EXPECT_EQ(result.total_inserted, 4u);  // e tuple + 3 tc tuples
@@ -78,7 +78,7 @@ TEST(IncrementalTest, DeletionShrinksClosure) {
 
   auto update = db.MakeUpdate();
   update.Delete("e", {Value::Int(2), Value::Int(3)});
-  const UpdateResult result = db.Apply(update);
+  const UpdateResult result = db.ApplyRequest(update.Request());
   // Chain splits: {0,1,2} and {3,4}: 3 + 1 pairs remain.
   EXPECT_EQ(db.Query("tc").size(), 4u);
   EXPECT_FALSE(db.Contains("tc", {Value::Int(0), Value::Int(3)}));
@@ -99,7 +99,7 @@ TEST(IncrementalTest, DeletionWithRederivation) {
 
   auto update = db.MakeUpdate();
   update.Delete("e", {db.Sym("a"), db.Sym("b")});
-  const UpdateResult result = db.Apply(update);
+  const UpdateResult result = db.ApplyRequest(update.Request());
   EXPECT_TRUE(db.Contains("tc", {db.Sym("a"), db.Sym("b")}));  // rederived
   bool any_rederived = false;
   for (const auto& c : result.components) {
@@ -119,7 +119,7 @@ TEST(IncrementalTest, InsertionIntoNegatedPredicateDestroys) {
 
   auto update = db.MakeUpdate();
   update.Insert("bad", {Value::Int(1)});
-  db.Apply(update);
+  db.ApplyRequest(update.Request());
   EXPECT_EQ(db.Query("ok").size(), 1u);
   EXPECT_FALSE(db.Contains("ok", {Value::Int(1)}));
 }
@@ -135,7 +135,7 @@ TEST(IncrementalTest, DeletionFromNegatedPredicateCreates) {
 
   auto update = db.MakeUpdate();
   update.Delete("bad", {Value::Int(1)});
-  db.Apply(update);
+  db.ApplyRequest(update.Request());
   EXPECT_TRUE(db.Contains("ok", {Value::Int(1)}));
 }
 
@@ -158,7 +158,7 @@ TEST(IncrementalTest, NegationCascadesThroughRecursion) {
 
   auto update = db.MakeUpdate();
   update.Delete("e", {Value::Int(1), Value::Int(2)});
-  db.Apply(update);
+  db.ApplyRequest(update.Request());
   EXPECT_EQ(db.Query("unreach").size(), 2u);  // 2 and 3
   EXPECT_TRUE(db.Contains("unreach", {Value::Int(3)}));
 }
@@ -174,7 +174,7 @@ TEST(IncrementalTest, NoOpUpdateChangesNothing) {
   auto update = db.MakeUpdate();
   update.Insert("e", {Value::Int(0), Value::Int(1)});   // already present
   update.Delete("e", {Value::Int(7), Value::Int(8)});   // absent
-  const UpdateResult result = db.Apply(update);
+  const UpdateResult result = db.ApplyRequest(update.Request());
   EXPECT_EQ(result.total_inserted, 0u);
   EXPECT_EQ(result.total_deleted, 0u);
   for (const auto& c : result.components) {
@@ -274,7 +274,7 @@ TEST(ScheduleBridgeTest, TraceMirrorsUpdateCascade) {
   request.insertions.emplace_back(db.GetProgram().PredicateId("e"),
                                   Tuple{Value::Int(1), Value::Int(2)});
   // Apply through the engine path the bridge expects.
-  const UpdateResult result = db.Apply(update);
+  const UpdateResult result = db.ApplyRequest(update.Request());
 
   const UpdateTrace bridge = BuildUpdateTrace(
       db.GetProgram(), db.GetStratification(), request, result, "t");
@@ -327,7 +327,7 @@ TEST(ScheduleBridgeTest, UnchangedComponentDoesNotPropagate) {
   UpdateRequest request;
   request.insertions.emplace_back(db.GetProgram().PredicateId("other"),
                                   Tuple{Value::Int(2)});
-  const UpdateResult result = db.Apply(update);
+  const UpdateResult result = db.ApplyRequest(update.Request());
   const UpdateTrace bridge = BuildUpdateTrace(
       db.GetProgram(), db.GetStratification(), request, result, "t");
   const trace::Cascade cascade = trace::ComputeCascade(bridge.trace);

@@ -13,6 +13,7 @@
 #include "datalog/maintenance.hpp"
 #include "datalog/parallel_update.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/task_router.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "wide_program_fixture.hpp"
@@ -105,6 +106,7 @@ TEST(MaintEquivalenceTest, ParallelAcrossShardCountsAndSchedulers) {
                           base, MaintenanceStrategy::kDRed);
   }
 
+  runtime::TaskRouter router({.workers = 4});
   for (const MaintenanceStrategy strategy :
        {MaintenanceStrategy::kDRed, MaintenanceStrategy::kBackwardForward}) {
     for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
@@ -116,12 +118,11 @@ TEST(MaintEquivalenceTest, ParallelAcrossShardCountsAndSchedulers) {
           fixture.Base(rng, 12, 0.15);
         }
         for (const UpdateRequest& request : batches) {
-          ParallelUpdateOptions options;
-          options.scheduler_spec = scheduler;
-          options.workers = 4;
-          options.strategy = strategy;
-          (void)ApplyParallel(fixture.program, fixture.strat, fixture.store,
-                              request, options);
+          (void)ApplyParallel(fixture.program, fixture.strat, nullptr,
+                              fixture.store, request,
+                              {.scheduler_spec = scheduler,
+                               .router = &router,
+                               .strategy = strategy});
         }
         ExpectStoresEqual(
             reference.program, reference.store, fixture.store,
@@ -162,8 +163,9 @@ TEST(MaintBackwardForwardTest, RedundantSupportDeletionAvoidsOverdeletion) {
     }
     return update;
   };
-  const UpdateResult dred_result = dred.Apply(make_update(dred));
-  const UpdateResult bf_result = bf.Apply(make_update(bf));
+  const UpdateResult dred_result =
+      dred.ApplyRequest(make_update(dred).Request());
+  const UpdateResult bf_result = bf.ApplyRequest(make_update(bf).Request());
 
   EXPECT_EQ(Sorted(dred.Query("mid")), Sorted(bf.Query("mid")));
   EXPECT_EQ(Sorted(dred.Query("out")), Sorted(bf.Query("out")));
@@ -206,8 +208,9 @@ TEST(MaintBackwardForwardTest, CyclicDerivationsResolvedByProbes) {
     update.Delete("e", {Value::Int(0), Value::Int(3)});
     return update;
   };
-  const UpdateResult dred_result = dred.Apply(make_update(dred));
-  const UpdateResult bf_result = bf.Apply(make_update(bf));
+  const UpdateResult dred_result =
+      dred.ApplyRequest(make_update(dred).Request());
+  const UpdateResult bf_result = bf.ApplyRequest(make_update(bf).Request());
   EXPECT_EQ(Sorted(dred.Query("tc")), Sorted(bf.Query("tc")));
   EXPECT_EQ(dred_result.total_deleted, bf_result.total_deleted);
   std::size_t probes = 0;
@@ -252,7 +255,7 @@ TEST(MaintComplexityTest, OneTupleDeleteFromWideBaseScansNothing) {
     const std::uint64_t extend_before = IndexExtendRows(db);
     Database::Update update = db.MakeUpdate();
     update.Delete("base", {Value::Int(4242)});
-    const UpdateResult result = db.Apply(update);
+    const UpdateResult result = db.ApplyRequest(update.Request());
     EXPECT_FALSE(db.Contains("a", {Value::Int(4242)}));
     EXPECT_EQ(db.Query("a").size(), static_cast<std::size_t>(kBase - 1));
     // The only binding is the deleted row itself (overdelete / suspect
@@ -291,7 +294,7 @@ TEST(MaintComplexityTest, OneEdgeDeleteInClosureCostsOneCluster) {
       db.Materialize();
       Database::Update update = db.MakeUpdate();
       update.Delete("e", {Value::Int(0), Value::Int(1)});
-      const UpdateResult result = db.Apply(update);
+      const UpdateResult result = db.ApplyRequest(update.Request());
       EXPECT_EQ(db.Query("tc").size(),
                 static_cast<std::size_t>(clusters * kNodes * kNodes));
       bindings.push_back(BindingsExplored(result));
@@ -449,7 +452,7 @@ TEST(MaintEvolveTest, RandomizedEvolveMatchesRebuildAcrossStrategies) {
             update.Insert("tag", trow);
           }
           tag_fact[t] = !tag_fact[t];
-          (void)db.Apply(update);
+          (void)db.ApplyRequest(update.Request());
         }
         if (::testing::Test::HasFailure()) {
           FAIL() << "diverged: strategy "

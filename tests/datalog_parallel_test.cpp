@@ -14,6 +14,7 @@
 #include "datalog/parser.hpp"
 #include "datalog/stratify.hpp"
 #include "datalog/validate.hpp"
+#include "runtime/task_router.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "wide_program_fixture.hpp"
@@ -27,8 +28,10 @@ using dsched::testing::ExpectStoresEqual;
 using dsched::testing::RandomUpdate;
 using dsched::testing::Sorted;
 using Fixture = dsched::testing::WideFixture;
+using runtime::TaskRouter;
 
 TEST(ParallelUpdateTest, MatchesSequentialAcrossSchedulers) {
+  TaskRouter router({.workers = 3});
   for (const char* spec : {"hybrid", "levelbased", "lbl:4", "logicblox",
                            "signal"}) {
     util::Rng rng(777);
@@ -48,9 +51,10 @@ TEST(ParallelUpdateTest, MatchesSequentialAcrossSchedulers) {
                           GroupedBaseChanges(sequential.program, request));
       ParallelUpdateOptions options;
       options.scheduler_spec = spec;
-      options.workers = 3;
-      const ParallelUpdateResult par_result = ApplyParallel(
-          parallel.program, parallel.strat, parallel.store, request, options);
+      options.router = &router;
+      const ParallelUpdateResult par_result =
+          ApplyParallel(parallel.program, parallel.strat, nullptr,
+                        parallel.store, request, options);
       ExpectStoresEqual(sequential.program, sequential.store, parallel.store,
                         spec);
       EXPECT_EQ(par_result.update.total_inserted, seq_result.total_inserted)
@@ -63,6 +67,7 @@ TEST(ParallelUpdateTest, MatchesSequentialAcrossSchedulers) {
 
 TEST(ParallelUpdateTest, MatchesFromScratchAcrossWorkerCounts) {
   for (const std::size_t workers : {1u, 2u, 8u}) {
+    TaskRouter router({.workers = workers});
     util::Rng rng(991);
     Fixture parallel;
     parallel.Base(rng, 9, 0.18);
@@ -83,10 +88,8 @@ TEST(ParallelUpdateTest, MatchesFromScratchAcrossWorkerCounts) {
     for (int batch = 0; batch < 3; ++batch) {
       const UpdateRequest request =
           RandomUpdate(parallel.program, update_rng, 9);
-      ParallelUpdateOptions options;
-      options.workers = workers;
-      (void)ApplyParallel(parallel.program, parallel.strat, parallel.store,
-                          request, options);
+      (void)ApplyParallel(parallel.program, parallel.strat, nullptr,
+                          parallel.store, request, {.router = &router});
       // Track the reference base.
       for (const auto& [pred, tuple] : request.insertions) {
         if (pred == e) {
@@ -130,8 +133,10 @@ TEST(ParallelUpdateTest, ExecutesOnlyTouchedComponents) {
   UpdateRequest request;
   request.insertions.emplace_back(fixture.program.PredicateId("mark"),
                                   Tuple{Value::Int(7)});
-  const ParallelUpdateResult result = ApplyParallel(
-      fixture.program, fixture.strat, fixture.store, request, {});
+  TaskRouter router({.workers = 4});
+  const ParallelUpdateResult result =
+      ApplyParallel(fixture.program, fixture.strat, nullptr, fixture.store,
+                    request, {.router = &router});
   const auto tc_comp =
       fixture.strat.component_of[fixture.program.PredicateId("tc")];
   for (const ComponentUpdateStats& c : result.update.components) {
@@ -151,8 +156,10 @@ TEST(ParallelUpdateTest, ReportsExecutorStats) {
   UpdateRequest request;
   request.insertions.emplace_back(fixture.program.PredicateId("e"),
                                   Tuple{Value::Int(0), Value::Int(7)});
-  const ParallelUpdateResult result = ApplyParallel(
-      fixture.program, fixture.strat, fixture.store, request, {});
+  TaskRouter router({.workers = 4});
+  const ParallelUpdateResult result =
+      ApplyParallel(fixture.program, fixture.strat, nullptr, fixture.store,
+                    request, {.router = &router});
   EXPECT_GT(result.run.executed, 0u);
   EXPECT_GT(result.run.wall_seconds, 0.0);
   EXPECT_EQ(result.update.components.size(), fixture.strat.NumComponents());
@@ -165,11 +172,38 @@ TEST(ParallelUpdateTest, OracleSpecRejected) {
   UpdateRequest request;
   request.insertions.emplace_back(fixture.program.PredicateId("mark"),
                                   Tuple{Value::Int(1)});
-  ParallelUpdateOptions options;
-  options.scheduler_spec = "oracle";
-  EXPECT_THROW((void)ApplyParallel(fixture.program, fixture.strat,
-                                   fixture.store, request, options),
+  TaskRouter router({.workers = 1});
+  EXPECT_THROW((void)ApplyParallel(fixture.program, fixture.strat, nullptr,
+                                   fixture.store, request,
+                                   {.scheduler_spec = "oracle",
+                                    .router = &router}),
                util::LogicError);
+  // The router is required: there is no private-pool fallback.
+  EXPECT_THROW((void)ApplyParallel(fixture.program, fixture.strat, nullptr,
+                                   fixture.store, request, {}),
+               util::LogicError);
+}
+
+TEST(ParallelUpdateTest, WrongArityRequestThrowsBeforeAnyTaskRuns) {
+  Fixture fixture;
+  util::Rng rng(88);
+  fixture.Base(rng, 5, 0.2);
+  const std::vector<Tuple> before =
+      Sorted(fixture.store.Of(fixture.program.PredicateId("e")).Tuples());
+  TaskRouter router({.workers = 2});
+  for (const bool insert : {true, false}) {
+    UpdateRequest request;
+    auto& side = insert ? request.insertions : request.deletions;
+    side.emplace_back(fixture.program.PredicateId("e"), Tuple{Value::Int(1)});
+    EXPECT_THROW((void)ApplyParallel(fixture.program, fixture.strat, nullptr,
+                                     fixture.store, request,
+                                     {.router = &router}),
+                 util::InvalidArgument)
+        << (insert ? "insert" : "delete");
+  }
+  EXPECT_EQ(Sorted(fixture.store.Of(fixture.program.PredicateId("e")).Tuples()),
+            before);
+  EXPECT_EQ(router.OpenChannels(), 0u);
 }
 
 TEST(ParallelUpdateTest, DatabaseFacade) {
@@ -184,8 +218,11 @@ TEST(ParallelUpdateTest, DatabaseFacade) {
   auto update = db.MakeUpdate();
   update.Insert("e", {Value::Int(7), Value::Int(0)});  // close the cycle? no —
   // e(7,0) creates tc pairs but the DAG of *components* stays acyclic.
-  const UpdateResult result = db.ApplyParallel(update);
-  EXPECT_GT(result.total_inserted, 0u);
+  TaskRouter router({.workers = 2});
+  const ParallelUpdateResult result =
+      db.ApplyRequestParallel(update.Request(), {.router = &router});
+  EXPECT_GT(result.update.total_inserted, 0u);
+  EXPECT_GT(result.run.executed, 0u);
   EXPECT_TRUE(db.Contains("tc", {Value::Int(0), Value::Int(0)}));
 }
 

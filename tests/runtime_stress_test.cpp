@@ -1,5 +1,5 @@
 // Stress tests for the work-stealing pool + batched executor: random DAGs
-// × every scheduler spec × 1..8 workers, asserting the precedence
+// × every scheduler spec × 1..8-worker routers, asserting the precedence
 // guarantee the whole model rests on (no task starts before all of its
 // activated ancestors completed), and store equality between ApplyParallel
 // and the serial incremental engine under the same sweep.
@@ -92,14 +92,15 @@ TEST(RuntimeStressTest, PrecedenceHoldsAcrossSchedulersAndWorkerCounts) {
     for (const char* spec : kSpecs) {
       for (std::size_t workers = 1; workers <= 8; ++workers) {
         auto scheduler = sched::CreateScheduler(spec);
+        TaskRouter router({.workers = workers});
         std::vector<std::atomic<bool>> completed(trace.NumNodes());
         for (auto& flag : completed) {
           flag.store(false);
         }
         std::atomic<int> violations{0};
         const auto stats = Executor::Run(
-            trace, *scheduler,
-            [&](util::TaskId t) {
+            router, trace, *scheduler,
+            [&](util::TaskId t, std::size_t) {
               for (const util::TaskId a : ancestors[t]) {
                 if (!completed[a].load()) {
                   violations.fetch_add(1);
@@ -108,7 +109,7 @@ TEST(RuntimeStressTest, PrecedenceHoldsAcrossSchedulersAndWorkerCounts) {
               completed[t].store(true);
               return trace.Info(t).output_changes;
             },
-            {.workers = workers});
+            {});
         EXPECT_EQ(violations.load(), 0)
             << spec << " workers=" << workers << " seed=" << seed;
         EXPECT_EQ(stats.executed, cascade.NumActive())
@@ -123,7 +124,9 @@ TEST(RuntimeStressTest, BatchedDispatchKeepsStatsConsistent) {
   util::Rng rng(5);
   const trace::JobTrace trace = trace::MakeRandomDag(80, 0.06, 0.3, 0.7, rng);
   auto scheduler = sched::CreateScheduler("hybrid");
-  const auto stats = Executor::Run(trace, *scheduler, Executor::TaskBody{}, {.workers = 4});
+  TaskRouter router({.workers = 4});
+  const auto stats =
+      Executor::Run(router, trace, *scheduler, Executor::TaskBody{}, {});
   EXPECT_EQ(stats.dispatched, stats.executed);
   EXPECT_GE(stats.dispatch_batches, 1u);
   EXPECT_LE(stats.dispatch_batches, stats.dispatched);
@@ -149,6 +152,7 @@ TEST(RuntimeStressTest, ParallelStoreEqualsSerialAcrossSweep) {
   using datalog::Value;
   for (const char* spec : kSpecs) {
     for (const std::size_t workers : {1u, 2u, 5u, 8u}) {
+      TaskRouter router({.workers = workers});
       datalog::Program seq_program = datalog::ParseProgram(kWideProgram);
       datalog::ValidateProgram(seq_program);
       const datalog::Stratification seq_strat = datalog::Stratify(seq_program);
@@ -210,9 +214,9 @@ TEST(RuntimeStressTest, ParallelStoreEqualsSerialAcrossSweep) {
             datalog::GroupedBaseChanges(seq_program, request));
         datalog::ParallelUpdateOptions options;
         options.scheduler_spec = spec;
-        options.workers = workers;
-        (void)datalog::ApplyParallel(par_program, par_strat, par_store,
-                                     request, options);
+        options.router = &router;
+        (void)datalog::ApplyParallel(par_program, par_strat, nullptr,
+                                     par_store, request, options);
         for (std::uint32_t pred = 0; pred < seq_program.NumPredicates();
              ++pred) {
           EXPECT_EQ(Sorted(seq_store.Of(pred).Tuples()),
@@ -227,8 +231,8 @@ TEST(RuntimeStressTest, ParallelStoreEqualsSerialAcrossSweep) {
 
 TEST(RuntimeStressTest, ParallelViaSharedRouterEqualsSerial) {
   // Same store-equality guarantee as the sweep above, but every parallel
-  // update runs through ONE shared TaskRouter — the service-layer
-  // configuration — instead of a per-call private pool.
+  // update of every spec runs through ONE shared TaskRouter — the
+  // service-layer configuration.
   TaskRouter router({.workers = 4});
   for (const char* spec : kSpecs) {
     util::Rng rng(321);
@@ -249,7 +253,8 @@ TEST(RuntimeStressTest, ParallelViaSharedRouterEqualsSerial) {
       options.scheduler_spec = spec;
       options.router = &router;
       const auto result = datalog::ApplyParallel(
-          routed.program, routed.strat, routed.store, request, options);
+          routed.program, routed.strat, nullptr, routed.store, request,
+          options);
       EXPECT_GT(result.run.executed, 0u) << spec << " batch=" << batch;
       dsched::testing::ExpectStoresEqual(serial.program, serial.store,
                                          routed.store, spec);

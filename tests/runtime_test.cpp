@@ -1,9 +1,11 @@
 // Tests for the thread pool and the real multithreaded executor.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "runtime/executor.hpp"
 #include "runtime/task_router.hpp"
@@ -183,28 +185,41 @@ TEST(TaskRouterTest, ConcurrentCoordinatorsInterleaveOnOnePool) {
   EXPECT_EQ(router.PoolStats().executed, 4u * 20u * 50u);
 }
 
-TEST(ExecutorTest, RunOnSharedRouterMatchesPrivatePool) {
+TEST(ExecutorTest, OneAndFourWorkerRoutersRunTheSameCascade) {
+  // A 1-worker router is the serial run; a 4-worker one overlaps tasks.
+  // Both must execute exactly the trace's active set, under every policy.
   util::Rng rng(99);
   const trace::JobTrace trace = trace::MakeRandomDag(60, 0.06, 0.2, 0.7, rng);
   const trace::Cascade cascade = trace::ComputeCascade(trace);
-  TaskRouter router({.workers = 4});
+  TaskRouter serial({.workers = 1});
+  TaskRouter shared({.workers = 4});
   for (const char* spec : {"levelbased", "hybrid", "signal"}) {
-    auto scheduler = sched::CreateScheduler(spec);
-    std::atomic<int> executed{0};
-    const auto stats = Executor::RunOn(
-        router, trace, *scheduler,
-        [&](util::TaskId t, std::size_t) {
-          executed.fetch_add(1);
-          return trace.Info(t).output_changes;
-        },
-        {});
-    EXPECT_EQ(stats.executed, cascade.NumActive()) << spec;
-    EXPECT_EQ(executed.load(), static_cast<int>(cascade.NumActive())) << spec;
+    std::array<std::vector<std::atomic<int>>, 2> ran;
+    std::array<Executor::RunStats, 2> stats{};
+    for (std::size_t r = 0; r < 2; ++r) {
+      ran[r] = std::vector<std::atomic<int>>(trace.NumNodes());
+      auto scheduler = sched::CreateScheduler(spec);
+      stats[r] = Executor::Run(
+          r == 0 ? serial : shared, trace, *scheduler,
+          [&](util::TaskId t, std::size_t worker) {
+            EXPECT_LT(worker, r == 0 ? 1u : 4u);
+            ran[r][t].fetch_add(1);
+            return trace.Info(t).output_changes;
+          },
+          {});
+      EXPECT_EQ(stats[r].executed, cascade.NumActive()) << spec;
+    }
+    EXPECT_EQ(stats[0].activations, stats[1].activations) << spec;
+    for (util::TaskId t = 0; t < trace.NumNodes(); ++t) {
+      EXPECT_EQ(ran[0][t].load(), ran[1][t].load()) << spec << " task " << t;
+      EXPECT_LE(ran[1][t].load(), 1) << spec << " task " << t;
+    }
   }
-  EXPECT_EQ(router.OpenChannels(), 0u);
+  EXPECT_EQ(serial.OpenChannels(), 0u);
+  EXPECT_EQ(shared.OpenChannels(), 0u);
 }
 
-TEST(ExecutorTest, ConcurrentRunOnCascadesStayIsolated) {
+TEST(ExecutorTest, ConcurrentCascadesOnOneRouterStayIsolated) {
   // Two cascades with different bodies run simultaneously on one router;
   // each must execute exactly its own active set.
   TaskRouter router({.workers = 4});
@@ -218,7 +233,7 @@ TEST(ExecutorTest, ConcurrentRunOnCascadesStayIsolated) {
       const trace::Cascade cascade = trace::ComputeCascade(trace);
       auto scheduler = sched::CreateScheduler("hybrid");
       std::atomic<std::size_t> count{0};
-      const auto stats = Executor::RunOn(
+      const auto stats = Executor::Run(
           router, trace, *scheduler,
           [&](util::TaskId t, std::size_t) {
             count.fetch_add(1);
@@ -246,14 +261,15 @@ TEST(ExecutorTest, RunsExactlyTheCascade) {
   const trace::JobTrace trace = trace::MakeRandomDag(60, 0.06, 0.2, 0.7, rng);
   const trace::Cascade cascade = trace::ComputeCascade(trace);
   sched::LevelBasedScheduler scheduler;
+  TaskRouter router({.workers = 4});
   std::atomic<int> executed{0};
   const auto stats = Executor::Run(
-      trace, scheduler,
-      [&](util::TaskId t) {
+      router, trace, scheduler,
+      [&](util::TaskId t, std::size_t) {
         executed.fetch_add(1);
         return trace.Info(t).output_changes;
       },
-      {.workers = 4});
+      {});
   EXPECT_EQ(stats.executed, cascade.NumActive());
   EXPECT_EQ(executed.load(), static_cast<int>(cascade.NumActive()));
   EXPECT_GT(stats.wall_seconds, 0.0);
@@ -262,7 +278,9 @@ TEST(ExecutorTest, RunsExactlyTheCascade) {
 TEST(ExecutorTest, NullBodyUsesTraceBits) {
   const trace::JobTrace trace = trace::MakeChain(20);
   sched::LevelBasedScheduler scheduler;
-  const auto stats = Executor::Run(trace, scheduler, Executor::TaskBody{}, {.workers = 2});
+  TaskRouter router({.workers = 2});
+  const auto stats =
+      Executor::Run(router, trace, scheduler, Executor::TaskBody{}, {});
   EXPECT_EQ(stats.executed, 20u);
   EXPECT_EQ(stats.activations, 20u);
 }
@@ -271,8 +289,10 @@ TEST(ExecutorTest, DynamicOutputChangesControlActivation) {
   // The body decides at runtime: cut the cascade at node 2 of a chain.
   const trace::JobTrace trace = trace::MakeChain(10);
   sched::LevelBasedScheduler scheduler;
+  TaskRouter router({.workers = 2});
   const auto stats = Executor::Run(
-      trace, scheduler, [](util::TaskId t) { return t < 2; }, {.workers = 2});
+      router, trace, scheduler,
+      [](util::TaskId t, std::size_t) { return t < 2; }, {});
   EXPECT_EQ(stats.executed, 3u);  // 0, 1, 2 (2 runs but stops the cascade)
 }
 
@@ -280,13 +300,14 @@ TEST(ExecutorTest, ParallelismActuallyOverlaps) {
   // 8 independent 20ms tasks on 4 workers should take well under 160ms.
   const trace::JobTrace trace = trace::MakeFork(8);
   auto scheduler = sched::CreateScheduler("hybrid");
+  TaskRouter router({.workers = 4});
   const auto stats = Executor::Run(
-      trace, *scheduler,
-      [](util::TaskId) {
+      router, trace, *scheduler,
+      [](util::TaskId, std::size_t) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
         return true;
       },
-      {.workers = 4});
+      {});
   EXPECT_EQ(stats.executed, 9u);
   EXPECT_LT(stats.wall_seconds, 0.140);  // ~3 waves of 20ms + slack
 }
@@ -309,8 +330,9 @@ TEST(ExecutorTest, AccountingTracksUtilityTotalsAndPeak) {
   // single task and the sum.
   const trace::JobTrace trace = MakeUtilityFork(8, 1024);
   sched::LevelBasedScheduler scheduler;
+  TaskRouter router({.workers = 4});
   const auto stats =
-      Executor::Run(trace, scheduler, Executor::TaskBody{}, {.workers = 4});
+      Executor::Run(router, trace, scheduler, Executor::TaskBody{}, {});
   EXPECT_EQ(stats.executed, 9u);
   EXPECT_EQ(stats.mem_acquired_bytes, 8u * 1024u);
   EXPECT_GE(stats.mem_peak_bytes, 1024u);
@@ -326,8 +348,10 @@ TEST(ExecutorTest, BudgetGateNeverExceedsCeiling) {
   // failure), and at least one dispatch must have been parked.
   const trace::JobTrace trace = MakeUtilityFork(16, 1024);
   sched::LevelBasedScheduler scheduler;
-  const auto stats = Executor::Run(trace, scheduler, Executor::TaskBody{},
-                                   {.workers = 4, .memory_budget = 2048});
+  TaskRouter router({.workers = 4});
+  const auto stats = Executor::Run(router, trace, scheduler,
+                                   Executor::TaskBody{},
+                                   {.memory_budget = 2048});
   EXPECT_EQ(stats.executed, 17u);
   EXPECT_LE(stats.mem_peak_bytes, 2048u);
   EXPECT_GE(stats.mem_deferred, 1u);
@@ -342,8 +366,10 @@ TEST(ExecutorTest, OversizedTaskRunsSoloViaEscapeHatch) {
   // single utility instead of a deadlock.
   const trace::JobTrace trace = MakeUtilityFork(3, 8192);
   sched::LevelBasedScheduler scheduler;
-  const auto stats = Executor::Run(trace, scheduler, Executor::TaskBody{},
-                                   {.workers = 4, .memory_budget = 1024});
+  TaskRouter router({.workers = 4});
+  const auto stats = Executor::Run(router, trace, scheduler,
+                                   Executor::TaskBody{},
+                                   {.memory_budget = 1024});
   EXPECT_EQ(stats.executed, 4u);
   EXPECT_EQ(stats.mem_forced, 3u);
   // Solo means solo: the oversized tasks never overlap, so the peak is
@@ -365,8 +391,8 @@ TEST(ExecutorTest, SharedAccountBoundsConcurrentCascadesJointly) {
     runners.emplace_back([&router, &account, &stats, s] {
       const trace::JobTrace trace = MakeUtilityFork(12, 512);
       auto scheduler = sched::CreateScheduler("levelbased");
-      stats[s] = Executor::RunOn(router, trace, *scheduler,
-                                 Executor::WorkerTaskBody{},
+      stats[s] = Executor::Run(router, trace, *scheduler,
+                                 Executor::TaskBody{},
                                  {.memory_budget = kBudget,
                                   .account = &account});
     });
@@ -389,11 +415,12 @@ TEST(ExecutorTest, EveryFactorySchedulerDrivesTheExecutor) {
   util::Rng rng(88);
   const trace::JobTrace trace = trace::MakeRandomDag(40, 0.08, 0.25, 0.8, rng);
   const trace::Cascade cascade = trace::ComputeCascade(trace);
+  TaskRouter router({.workers = 3});
   for (const char* spec :
        {"levelbased", "lbl:3", "logicblox", "signal", "hybrid", "oracle"}) {
     auto scheduler = sched::CreateScheduler(spec);
-    const auto stats =
-        Executor::Run(trace, *scheduler, Executor::TaskBody{}, {.workers = 3});
+    const auto stats = Executor::Run(router, trace, *scheduler,
+                                     Executor::TaskBody{}, {});
     EXPECT_EQ(stats.executed, cascade.NumActive()) << spec;
   }
 }

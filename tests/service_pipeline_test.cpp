@@ -74,19 +74,18 @@ TEST(ServicePipelineTest, DepthResolutionAndEligibilityClamping) {
   EngineHost host({.workers = 2, .default_pipeline_depth = 2});
   auto inherit = host.OpenSession(kWideProgram, {.name = "inh"});
   EXPECT_EQ(inherit->PipelineDepth(), 2u);  // host default
-  // Every maintenance strategy pipelines: only the engine can clamp.
+  // Every strategy and every scheduler pipelines: K is never clamped
+  // below what was asked for.
   for (const char* strategy : {"dred", "bf"}) {
-    auto deep = host.OpenSession(kWideProgram,
-                                 {.name = std::string("deep-") + strategy,
-                                  .maintenance_strategy = strategy,
-                                  .pipeline_depth = 4});
-    EXPECT_EQ(deep->PipelineDepth(), 4u) << strategy;
+    for (const char* spec : {"hybrid", "levelbased", "signal"}) {
+      auto deep = host.OpenSession(
+          kWideProgram, {.name = std::string("deep-") + strategy + "-" + spec,
+                         .scheduler_spec = spec,
+                         .maintenance_strategy = strategy,
+                         .pipeline_depth = 8});
+      EXPECT_EQ(deep->PipelineDepth(), 8u) << strategy << " " << spec;
+    }
   }
-  // The serial engine has no cascade to pipeline.
-  auto serial = host.OpenSession(
-      kWideProgram,
-      {.name = "ser", .scheduler_spec = "serial", .pipeline_depth = 8});
-  EXPECT_EQ(serial->PipelineDepth(), 1u);
   // Absurd depths clamp instead of spawning 10k threads.
   auto clamped = host.OpenSession(kWideProgram,
                                   {.name = "cl", .pipeline_depth = 10000});

@@ -276,30 +276,6 @@ TEST(ServiceTest, DrainWaitsForAcceptedBatches) {
   EXPECT_EQ(session->QueueDepth(), 0u);
 }
 
-TEST(ServiceTest, SerialSchedulerSessionBypassesThePool) {
-  EngineHost host({.workers = 2});
-  auto session = host.OpenSession(
-      kWideProgram, {.name = "ser", .scheduler_spec = "serial"});
-  util::Rng seed_rng(21);
-  SeedLikeFixture(*session, seed_rng, 8, 0.2);
-
-  util::Rng replay_rng(21);
-  WideFixture replay;
-  replay.Base(replay_rng, 8, 0.2);
-  util::Rng update_rng(22);
-  for (int i = 0; i < 4; ++i) {
-    const datalog::UpdateRequest request =
-        RandomUpdate(replay.program, update_rng, 8);
-    (void)datalog::PropagateUpdate(
-        replay.program, replay.strat, replay.store,
-        datalog::GroupedBaseChanges(replay.program, request));
-    const UpdateOutcome outcome = session->Submit(request).get();
-    EXPECT_EQ(outcome.run.executed, 0u);  // no executor involved
-  }
-  session->Close();
-  ExpectStoresEqual(replay.program, replay.store, session->Store(), "serial");
-}
-
 TEST(ServiceTest, BadProgramsAndSpecsFailAtOpen) {
   EngineHost host({.workers = 1});
   EXPECT_THROW((void)host.OpenSession("p(X) :- q(X."), util::Error);
@@ -314,9 +290,15 @@ TEST(ServiceTest, BadProgramsAndSpecsFailAtOpen) {
   } catch (const util::Error& err) {
     const std::string message = err.what();
     EXPECT_NE(message.find("nonsense"), std::string::npos) << message;
-    EXPECT_NE(message.find("serial"), std::string::npos) << message;
     EXPECT_NE(message.find("hybrid"), std::string::npos) << message;
+    EXPECT_NE(message.find("levelbased"), std::string::npos) << message;
+    EXPECT_EQ(message.find("serial"), std::string::npos) << message;
   }
+  // Every session's cascades run on the shared pool; there is no serial
+  // engine to select.
+  EXPECT_THROW((void)host.OpenSession(kWideProgram,
+                                      {.scheduler_spec = "serial"}),
+               util::InvalidArgument);
   try {
     (void)host.OpenSession(kWideProgram,
                            {.maintenance_strategy = "dredd"});
@@ -328,6 +310,39 @@ TEST(ServiceTest, BadProgramsAndSpecsFailAtOpen) {
         << message;
   }
   EXPECT_EQ(host.ActiveSessions(), 0u);
+}
+
+TEST(ServiceTest, WrongArityBatchFailsItsFutureAndTheSessionStaysLive) {
+  // A malformed in-process batch is rejected on the apply thread, before
+  // its cascade reaches a pool worker: ITS future fails, and the next
+  // batch applies — at K=1 and with epochs in flight at K=4.
+  EngineHost host({.workers = 2});
+  for (const std::size_t depth : {std::size_t{1}, std::size_t{4}}) {
+    for (const bool insert : {true, false}) {
+      const std::string label = "K=" + std::to_string(depth) +
+                                (insert ? " insert" : " delete");
+      auto session = host.OpenSession(kWideProgram,
+                                      {.pipeline_depth = depth});
+      util::Rng seed_rng(31);
+      SeedLikeFixture(*session, seed_rng, 6, 0.2);
+      const auto e = session->Db().GetProgram().PredicateId("e");
+      datalog::UpdateRequest bad;
+      (insert ? bad.insertions : bad.deletions)
+          .emplace_back(e, datalog::Tuple{datalog::Value::Int(7)});
+      datalog::UpdateRequest good;
+      good.insertions.emplace_back(
+          e, datalog::Tuple{datalog::Value::Int(0), datalog::Value::Int(5)});
+      auto failed = session->Submit(bad);
+      auto applied = session->Submit(good);
+      EXPECT_THROW((void)failed.get(), util::InvalidArgument) << label;
+      const UpdateOutcome outcome = applied.get();
+      EXPECT_EQ(outcome.epoch, 2u) << label;
+      EXPECT_TRUE(session->Contains(
+          "e", {datalog::Value::Int(0), datalog::Value::Int(5)}))
+          << label;
+      EXPECT_EQ(session->AppliedEpoch(), 2u) << label;
+    }
+  }
 }
 
 TEST(ServiceTest, PerSessionStrategiesConvergeToTheSameStore) {
