@@ -292,7 +292,7 @@ Row Measure(const trace::JobTrace& trace, const std::string& workload,
   if (batched) {
     runtime::Executor::TaskBody body;
     if (spin_iters > 0) {
-      body = [&trace, spin_iters](util::TaskId t, std::size_t) {
+      body = [&trace, spin_iters](util::TaskId t) {
         SpinWork(spin_iters);
         return trace.Info(t).output_changes;
       };

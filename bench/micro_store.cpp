@@ -1,42 +1,26 @@
-// Sharded-store write-path benchmark: contended inserts, probes, and erases
-// against the hash-sharded Relation, sweeping shard counts and writer
-// counts.  Compares the lock-free publication protocol (ShardedWriteBuffer:
-// stage per shard, one atomic append per chunk, absorb-assisting flush)
-// against a global-mutex write path — the discipline the engine used before
-// shards existed.  Emits BENCH_store.json so future PRs can track the
-// trajectory.
+// Sharded-store benchmark: single-writer inserts, probes, and erases
+// against the hash-sharded Relation, sweeping shard counts.  A relation has
+// one writer at a time (the maintenance phase that owns it), so every cell
+// drives the direct Insert/Contains/Erase path from one thread.  Emits
+// BENCH_store.json so future PRs can track the trajectory.
 //
 // Workloads (arity-2 tuples, multiplicative key scatter):
-//   serial_insert_pP    — one thread, direct Insert() into P shards.
-//   publish_insert_pP_wW— W writer threads, disjoint keyspaces, each staging
-//                         into its own ShardedWriteBuffer and flushing; the
-//                         tentpole's hot path.
-//   locked_insert_wW    — W writer threads sharing one std::mutex around
-//                         direct Insert(); the pre-shard baseline.
-//   probe_pP            — one thread, Contains() over a populated store,
-//                         alternating hits and misses.
-//   mixed_erase_pP      — one thread, insert then erase every other tuple.
+//   serial_insert_pP    — direct Insert() into P shards.
+//   probe_pP            — Contains() over a populated store, alternating
+//                         hits and misses.
+//   mixed_erase_pP      — insert then erase every other tuple.
 //
-// Every insert variant must converge to the same relation contents: the
-// harness cross-checks an order-independent checksum across shard counts
-// and write paths, so the bench doubles as a stress test.
-//
-// NOTE on scaling numbers: writer threads only overlap when the host has
-// cores to run them on.  On a single-core container, publish_insert_p16_w8
-// measures protocol overhead under timeslicing, not parallel speedup — the
-// `scale_p16_vs_p1_w8` summary ratio is machine-dependent by design and the
-// CI gate ignores it (see tools/check_bench.py invocation in ci.yml).
+// Every insert cell must converge to the same relation contents: the
+// harness cross-checks an order-independent checksum across shard counts,
+// so the bench doubles as a stress test.
 //
 // Usage: micro_store [--out=BENCH_store.json] [--scale=1.0] [--trace=out.json]
 #include <cstdint>
 #include <cstdio>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "datalog/delta_buffer.hpp"
 #include "datalog/relation.hpp"
 #include "util/timer.hpp"
 
@@ -44,7 +28,6 @@ namespace dsched::bench {
 
 using datalog::Relation;
 using datalog::RowView;
-using datalog::ShardedWriteBuffer;
 using datalog::Tuple;
 using datalog::Value;
 
@@ -106,9 +89,8 @@ int main(int argc, char** argv) {
   const auto n_rows = static_cast<std::uint64_t>(200000.0 * scale);
   const std::size_t reps = 3;
   const std::size_t shard_counts[] = {1, 4, 16};
-  const std::size_t writer_counts[] = {1, 8};
   std::vector<Row> rows;
-  std::uint64_t expected_checksum = 0;  // filled by the first insert variant
+  std::uint64_t expected_checksum = 0;  // filled by the first insert cell
 
   const auto check = [&expected_checksum](const Row& row) {
     if (expected_checksum == 0) {
@@ -138,86 +120,6 @@ int main(int argc, char** argv) {
     }
     row.seconds = timer.ElapsedSeconds();
     check(row);
-    Report(row, reps);
-    rows.push_back(row);
-  }
-
-  // --- publish_insert_pP_wW: staged writes, lock-free publication.
-  for (const std::size_t p : shard_counts) {
-    for (const std::size_t w : writer_counts) {
-      Row row;
-      row.workload =
-          "publish_insert_p" + std::to_string(p) + "_w" + std::to_string(w);
-      row.rows = n_rows;
-      const std::uint64_t per_writer = n_rows / w;
-      util::WallTimer timer;
-      for (std::size_t rep = 0; rep < reps; ++rep) {
-        Relation r(2, p);
-        r.Reserve(n_rows);
-        std::vector<std::thread> writers;
-        writers.reserve(w);
-        for (std::size_t t = 0; t < w; ++t) {
-          writers.emplace_back([&r, t, per_writer] {
-            ShardedWriteBuffer buffer(r);
-            const std::uint64_t base = static_cast<std::uint64_t>(t) *
-                                       per_writer;
-            for (std::uint64_t i = 0; i < per_writer; ++i) {
-              buffer.StageInsert(MakeTuple(base + i));
-            }
-            buffer.Flush();
-          });
-        }
-        for (std::thread& writer : writers) {
-          writer.join();
-        }
-        r.Quiesce();
-        row.checksum = Checksum(r);
-      }
-      row.seconds = timer.ElapsedSeconds();
-      if (w == 1) {
-        // Disjoint-keyspace splits only cover the full range when w divides
-        // n_rows; w=1 always does, so only it cross-checks contents.
-        check(row);
-      }
-      Report(row, reps);
-      rows.push_back(row);
-    }
-  }
-
-  // --- locked_insert_wW: the pre-shard discipline, one mutex for the
-  // whole relation (default shard count; the mutex is the bottleneck).
-  for (const std::size_t w : writer_counts) {
-    Row row;
-    row.workload = "locked_insert_w" + std::to_string(w);
-    row.rows = n_rows;
-    const std::uint64_t per_writer = n_rows / w;
-    util::WallTimer timer;
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      Relation r(2);
-      r.Reserve(n_rows);
-      std::mutex write_mutex;
-      std::vector<std::thread> writers;
-      writers.reserve(w);
-      for (std::size_t t = 0; t < w; ++t) {
-        writers.emplace_back([&r, &write_mutex, t, per_writer] {
-          const std::uint64_t base = static_cast<std::uint64_t>(t) *
-                                     per_writer;
-          for (std::uint64_t i = 0; i < per_writer; ++i) {
-            const Tuple tuple = MakeTuple(base + i);
-            const std::scoped_lock lock(write_mutex);
-            r.Insert(tuple);
-          }
-        });
-      }
-      for (std::thread& writer : writers) {
-        writer.join();
-      }
-      row.checksum = Checksum(r);
-    }
-    row.seconds = timer.ElapsedSeconds();
-    if (w == 1) {
-      check(row);
-    }
     Report(row, reps);
     rows.push_back(row);
   }
@@ -279,24 +181,6 @@ int main(int argc, char** argv) {
     rows.push_back(row);
   }
 
-  // --- Summary ratios.
-  const auto seconds_of = [&rows](const std::string& workload) {
-    for (const Row& r : rows) {
-      if (r.workload == workload) {
-        return r.seconds;
-      }
-    }
-    return 0.0;
-  };
-  const double p1_w8 = seconds_of("publish_insert_p1_w8");
-  const double p16_w8 = seconds_of("publish_insert_p16_w8");
-  const double locked_w8 = seconds_of("locked_insert_w8");
-  const double scale_p16_vs_p1_w8 = p16_w8 > 0.0 ? p1_w8 / p16_w8 : 0.0;
-  const double staged_vs_locked_w8 =
-      p16_w8 > 0.0 ? locked_w8 / p16_w8 : 0.0;
-  std::printf("scale_p16_vs_p1_w8   %5.2fx\n", scale_p16_vs_p1_w8);
-  std::printf("staged_vs_locked_w8  %5.2fx\n", staged_vs_locked_w8);
-
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
@@ -304,11 +188,6 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out, "{\n  \"bench\": \"micro_store\",\n  \"scale\": %f,\n",
                scale);
-  std::fprintf(out, "  \"summary\": {\n");
-  std::fprintf(out, "    \"scale_p16_vs_p1_w8\": %.2f,\n",
-               scale_p16_vs_p1_w8);
-  std::fprintf(out, "    \"staged_vs_locked_w8\": %.2f\n  },\n",
-               staged_vs_locked_w8);
   std::fprintf(out, "  \"results\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -333,10 +212,6 @@ int main(int argc, char** argv) {
     metrics.Set(key + "mops_x100",
                 static_cast<std::uint64_t>(r.Mops(reps) * 100.0));
   }
-  metrics.Set("micro_store.scale_p16_vs_p1_w8_x100",
-              static_cast<std::uint64_t>(scale_p16_vs_p1_w8 * 100.0));
-  metrics.Set("micro_store.staged_vs_locked_w8_x100",
-              static_cast<std::uint64_t>(staged_vs_locked_w8 * 100.0));
   PrintMetrics(metrics);
   FinishTrace(session.get(), trace_path);
   return 0;

@@ -4,15 +4,10 @@
 #include <string>
 #include <unordered_set>
 
-#include "datalog/delta_buffer.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
 namespace dsched::datalog {
-
-namespace {
-using TupleSet = std::unordered_set<Tuple, TupleHash, TupleEq>;
-}  // namespace
 
 OldStateView::OldStateView(const RelationStore& live,
                            const std::vector<PredicateDelta>& net,
@@ -138,7 +133,11 @@ GroupedBaseChanges::GroupedBaseChanges(const Program& program,
   // update before any task runs instead of tripping a store invariant on a
   // pool worker.
   const auto check = [&program](std::uint32_t pred, const Tuple& tuple) {
-    DSCHED_CHECK_MSG(pred < program.NumPredicates(), "unknown predicate id");
+    if (pred >= program.NumPredicates()) {
+      throw util::InvalidArgument(
+          "unknown predicate id " + std::to_string(pred) + " (the program has " +
+          std::to_string(program.NumPredicates()) + " predicates)");
+    }
     if (tuple.size() != program.predicate_arities[pred]) {
       throw util::InvalidArgument(
           "arity mismatch: '" + program.predicate_names[pred] + "' takes " +
@@ -153,6 +152,20 @@ GroupedBaseChanges::GroupedBaseChanges(const Program& program,
   for (const auto& [pred, tuple] : request.deletions) {
     check(pred, tuple);
     deletions[pred].push_back(tuple);
+  }
+}
+
+void InsertBaseTuples(const Stratification& strat, std::uint32_t component,
+                      RelationStore& store, const GroupedBaseChanges& base,
+                      std::vector<TupleSet>& phase_inserted,
+                      DeltaMap& member_seed) {
+  for (const std::uint32_t p : strat.component_members[component]) {
+    for (const Tuple& t : base.insertions[p]) {
+      if (store.Of(p).Insert(t)) {
+        phase_inserted[p].insert(t);
+        member_seed[p].push_back(t);
+      }
+    }
   }
 }
 
@@ -183,8 +196,7 @@ ComponentUpdateStats RunComponentPhase(const Program& program,
                                        std::uint32_t component,
                                        RelationStore& store,
                                        const GroupedBaseChanges& base,
-                                       std::vector<PredicateDelta>& net,
-                                       StoreWriteBuffer* scratch) {
+                                       std::vector<PredicateDelta>& net) {
   util::WallTimer comp_timer;
   ComponentUpdateStats comp_stats;
   comp_stats.component = component;
@@ -402,39 +414,9 @@ ComponentUpdateStats RunComponentPhase(const Program& program,
 
   // ---------------------------------------------------------------- 4.
   // Insertions: base inserts into members + lower net insertions, then the
-  // semi-naive continuation.  With a worker scratch buffer the inserts go
-  // through the lock-free shard-publication protocol — staged per shard,
-  // one atomic append each, outcomes harvested at Flush — instead of the
-  // direct mutator.  The overdeletion path above stays direct on purpose:
-  // its erases must be visible to the old-state view immediately, or a
-  // tuple would be found both live and as a deleted extra.
-  for (const std::uint32_t p : members) {
-    if (base.insertions[p].empty()) {
-      continue;
-    }
-    if (scratch != nullptr) {
-      ShardedWriteBuffer& writes = scratch->For(store, p);
-      for (const Tuple& t : base.insertions[p]) {
-        writes.StageInsert(t);
-      }
-      writes.Flush([&phase_inserted, &member_seed, p](std::uint8_t,
-                                                      RowView row,
-                                                      bool fresh) {
-        if (fresh) {
-          Tuple t(row.begin(), row.end());
-          phase_inserted[p].insert(t);
-          member_seed[p].push_back(std::move(t));
-        }
-      });
-    } else {
-      for (const Tuple& t : base.insertions[p]) {
-        if (store.Of(p).Insert(t)) {
-          phase_inserted[p].insert(t);
-          member_seed[p].push_back(t);
-        }
-      }
-    }
-  }
+  // semi-naive continuation.
+  InsertBaseTuples(strat, component, store, base, phase_inserted,
+                   member_seed);
   DeltaMap seed = member_seed;
   for (const std::size_t r : rule_ids) {
     for (const BodyElement& element : program.rules[r].body) {

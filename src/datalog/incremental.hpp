@@ -22,7 +22,8 @@
 
 namespace dsched::datalog {
 
-class StoreWriteBuffer;
+/// A hash set of tuples (the phases' per-predicate bookkeeping).
+using TupleSet = std::unordered_set<Tuple, TupleHash, TupleEq>;
 
 /// A batch of base-fact changes.
 struct UpdateRequest {
@@ -88,8 +89,8 @@ struct GroupedBaseChanges {
   std::vector<std::vector<Tuple>> deletions;
 
   GroupedBaseChanges() = default;
-  /// Throws util::InvalidArgument when a tuple's arity does not match its
-  /// predicate's.
+  /// Throws util::InvalidArgument on an unknown predicate id or when a
+  /// tuple's arity does not match its predicate's.
   GroupedBaseChanges(const Program& program, const UpdateRequest& request);
 };
 
@@ -156,7 +157,6 @@ class OldStateView {
       std::uint32_t predicate, const std::vector<std::size_t>& columns) const;
 
  private:
-  using TupleSet = std::unordered_set<Tuple, TupleHash, TupleEq>;
   const RelationStore& live_;
   std::vector<TupleSet> inserted_;      ///< live-only tuples (not in old state)
   std::vector<std::vector<Tuple>> extras_;  ///< old-only tuples, id-addressable
@@ -188,18 +188,20 @@ void ApplyRuleOldState(const Program& program, const OldStateView& old_state,
 /// `net`, and the returned stats; reads lower predicates' relations and
 /// `net` entries, which the caller must have finalized (the dependency
 /// DAG's precedence).
-///
-/// `scratch`, when given, is the calling worker's write buffer: the phase
-/// stages its base insertions through the lock-free shard-publication
-/// protocol instead of direct Insert calls (see delta_buffer.hpp).  The
-/// buffer must be owned by the calling thread; nullptr keeps the direct
-/// path.
 ComponentUpdateStats RunComponentPhase(const Program& program,
                                        const Stratification& strat,
                                        std::uint32_t component,
                                        RelationStore& store,
                                        const GroupedBaseChanges& base,
-                                       std::vector<PredicateDelta>& net,
-                                       StoreWriteBuffer* scratch = nullptr);
+                                       std::vector<PredicateDelta>& net);
+
+/// The base-insertion step every maintenance phase shares: inserts the
+/// base insertions of `component`'s member predicates into `store` and
+/// records each fresh tuple in `phase_inserted` and in `member_seed`, the
+/// semi-naive continuation's seed.
+void InsertBaseTuples(const Stratification& strat, std::uint32_t component,
+                      RelationStore& store, const GroupedBaseChanges& base,
+                      std::vector<TupleSet>& phase_inserted,
+                      DeltaMap& member_seed);
 
 }  // namespace dsched::datalog

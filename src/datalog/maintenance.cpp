@@ -4,7 +4,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "datalog/delta_buffer.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
@@ -42,8 +41,6 @@ MaintenanceStrategy ParseMaintenanceStrategy(const std::string& name) {
 }
 
 namespace {
-
-using TupleSet = std::unordered_set<Tuple, TupleHash, TupleEq>;
 
 // ------------------------------------------------------------ Backward/Forward
 
@@ -155,8 +152,7 @@ ComponentUpdateStats RunBackwardForwardPhase(const Program& program,
                                              std::uint32_t component,
                                              RelationStore& store,
                                              const GroupedBaseChanges& base,
-                                             std::vector<PredicateDelta>& net,
-                                             StoreWriteBuffer* scratch) {
+                                             std::vector<PredicateDelta>& net) {
   util::WallTimer comp_timer;
   ComponentUpdateStats comp_stats;
   comp_stats.component = component;
@@ -341,33 +337,8 @@ ComponentUpdateStats RunBackwardForwardPhase(const Program& program,
       buffer.clear();
     }
   }
-  for (const std::uint32_t p : members) {
-    if (base.insertions[p].empty()) {
-      continue;
-    }
-    if (scratch != nullptr) {
-      ShardedWriteBuffer& writes = scratch->For(store, p);
-      for (const Tuple& t : base.insertions[p]) {
-        writes.StageInsert(t);
-      }
-      writes.Flush([&phase_inserted, &member_seed, p](std::uint8_t,
-                                                      RowView row,
-                                                      bool fresh) {
-        if (fresh) {
-          Tuple t(row.begin(), row.end());
-          phase_inserted[p].insert(t);
-          member_seed[p].push_back(std::move(t));
-        }
-      });
-    } else {
-      for (const Tuple& t : base.insertions[p]) {
-        if (store.Of(p).Insert(t)) {
-          phase_inserted[p].insert(t);
-          member_seed[p].push_back(t);
-        }
-      }
-    }
-  }
+  InsertBaseTuples(strat, component, store, base, phase_inserted,
+                   member_seed);
   DeltaMap seed = member_seed;
   for (const std::size_t r : rule_ids) {
     for (const BodyElement& element : program.rules[r].body) {
@@ -418,8 +389,7 @@ ComponentUpdateStats RunBackwardForwardPhase(const Program& program,
 ComponentUpdateStats RunMaintenancePhase(
     MaintenanceStrategy strategy, const Program& program,
     const Stratification& strat, std::uint32_t component, RelationStore& store,
-    const GroupedBaseChanges& base, std::vector<PredicateDelta>& net,
-    StoreWriteBuffer* scratch) {
+    const GroupedBaseChanges& base, std::vector<PredicateDelta>& net) {
   OBS_SCOPE(Category::kMaintPhase);
   const auto& rule_ids = strat.component_rules[component];
   switch (strategy) {
@@ -428,12 +398,12 @@ ComponentUpdateStats RunMaintenancePhase(
     case MaintenanceStrategy::kBackwardForward:
       if (!rule_ids.empty() && !program.rules[rule_ids.front()].IsAggregate()) {
         return RunBackwardForwardPhase(program, strat, component, store, base,
-                                       net, scratch);
+                                       net);
       }
       break;  // aggregate / rule-less: DRed (recompute-diff / base path)
   }
   ComponentUpdateStats comp_stats =
-      RunComponentPhase(program, strat, component, store, base, net, scratch);
+      RunComponentPhase(program, strat, component, store, base, net);
   OBS_COUNTER(Category::kMaintOverdelete, comp_stats.tuples_overdeleted);
   return comp_stats;
 }

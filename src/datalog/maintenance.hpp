@@ -55,8 +55,7 @@ enum class MaintenanceStrategy : std::uint8_t {
 ComponentUpdateStats RunMaintenancePhase(
     MaintenanceStrategy strategy, const Program& program,
     const Stratification& strat, std::uint32_t component, RelationStore& store,
-    const GroupedBaseChanges& base, std::vector<PredicateDelta>& net,
-    StoreWriteBuffer* scratch = nullptr);
+    const GroupedBaseChanges& base, std::vector<PredicateDelta>& net);
 
 /// The serial maintenance cascade, shared by base-fact updates and rule
 /// changes: runs RunMaintenancePhase for every component that is touched

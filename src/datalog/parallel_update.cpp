@@ -1,7 +1,5 @@
 #include "datalog/parallel_update.hpp"
 
-#include "datalog/delta_buffer.hpp"
-#include "graph/digraph_builder.hpp"
 #include "sched/factory.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
@@ -25,60 +23,19 @@ ParallelUpdateResult ApplyParallel(const Program& program,
   const std::size_t num_preds = program.NumPredicates();
   const std::size_t num_comps = strat.NumComponents();
 
-  // --- Node layout: predicate collectors first, then one task node per
-  // component that owns rules.  Rule-less components are singleton base
-  // predicates; their collector doubles as the phase-running task.
-  std::vector<util::TaskId> component_node(num_comps, util::kInvalidTask);
-  std::size_t next_node = num_preds;
-  for (std::uint32_t c = 0; c < num_comps; ++c) {
-    if (!strat.component_rules[c].empty()) {
-      component_node[c] = static_cast<util::TaskId>(next_node++);
-    }
-  }
-  const std::size_t num_nodes = next_node;
-
-  graph::DigraphBuilder builder(num_nodes);
-  for (std::uint32_t c = 0; c < num_comps; ++c) {
-    const util::TaskId task = component_node[c];
-    if (task == util::kInvalidTask) {
-      continue;
-    }
-    for (const std::uint32_t p : strat.component_members[c]) {
-      builder.AddEdge(task, static_cast<util::TaskId>(p));
-    }
-    for (const std::size_t r : strat.component_rules[c]) {
-      for (const BodyElement& element : program.rules[r].body) {
-        if (const auto* literal = std::get_if<Literal>(&element)) {
-          const std::uint32_t p = literal->atom.predicate;
-          if (strat.component_of[p] != c) {
-            builder.AddEdge(static_cast<util::TaskId>(p), task);
-          }
-        }
-      }
-    }
-  }
-
-  // --- Static node info.  Change bits are irrelevant: the executor asks
-  // the task bodies at runtime — exactly the paper's dynamic model.
+  // --- The activation DAG (schedule_bridge.hpp).  The request is
+  // validated first, on this thread, so a malformed batch throws before any
+  // task runs.  Change bits are irrelevant: the executor asks the task
+  // bodies at runtime — exactly the paper's dynamic model.
+  const GroupedBaseChanges base(program, request);
+  ActivationDag dag = BuildActivationDag(program, strat, request);
+  const std::vector<util::TaskId>& component_node = dag.component_node;
+  const std::size_t num_nodes = dag.graph.NumNodes();
   std::vector<trace::TaskInfo> infos(num_nodes);
   for (std::size_t p = 0; p < num_preds; ++p) {
     infos[p].kind = trace::NodeKind::kCollector;
     infos[p].work = 0.0;
     infos[p].span = 0.0;
-  }
-
-  // --- Initially dirty: base-touched predicates (their component task when
-  // rules are involved).
-  const GroupedBaseChanges base(program, request);
-  std::vector<util::TaskId> dirty;
-  for (std::size_t p = 0; p < num_preds; ++p) {
-    if (base.insertions[p].empty() && base.deletions[p].empty()) {
-      continue;
-    }
-    const std::uint32_t c = strat.component_of[p];
-    dirty.push_back(component_node[c] == util::kInvalidTask
-                        ? static_cast<util::TaskId>(p)
-                        : component_node[c]);
   }
 
   // --- Per-task resource utility, the accounting plane's estimate: each
@@ -109,8 +66,8 @@ ParallelUpdateResult ApplyParallel(const Program& program,
   }
 
   ParallelUpdateResult result;
-  result.trace = trace::JobTrace("parallel-update", std::move(builder).Build(),
-                                 std::move(infos), std::move(dirty));
+  result.trace = trace::JobTrace("parallel-update", std::move(dag.graph),
+                                 std::move(infos), std::move(dag.dirty));
 
   // --- Shared (but phase-disjoint) update state.
   std::vector<PredicateDelta> net(num_preds);
@@ -122,18 +79,9 @@ ParallelUpdateResult ApplyParallel(const Program& program,
   // share a byte the way vector<bool> bits would).
   std::vector<std::uint8_t> pred_changed(num_preds, 0);
 
-  // One write buffer per executor worker: a phase stages its base inserts
-  // per shard and publishes them lock-free (see delta_buffer.hpp).  Buffers
-  // are indexed by the worker running the task, so each is single-owner —
-  // one buffer per ROUTER worker, since worker indices span its pool.
-  std::vector<StoreWriteBuffer> scratch(options.router->NumWorkers());
-  for (StoreWriteBuffer& buffer : scratch) {
-    buffer.SetEpoch(options.epoch);
-  }
-
-  const auto run_phase = [&](std::uint32_t c, std::size_t worker) -> bool {
+  const auto run_phase = [&](std::uint32_t c) -> bool {
     stats[c] = RunMaintenancePhase(strategy, program, strat, c, store,
-                                   base, net, &scratch[worker]);
+                                   base, net);
     bool changed = false;
     for (const std::uint32_t p : strat.component_members[c]) {
       if (!net[p].Empty()) {
@@ -186,16 +134,16 @@ ParallelUpdateResult ApplyParallel(const Program& program,
 
   auto scheduler = sched::CreateScheduler(options.scheduler_spec);
   const runtime::Executor::TaskBody task_body(
-      [&](util::TaskId t, std::size_t worker) -> bool {
+      [&](util::TaskId t) -> bool {
         if (t >= num_preds) {
-          return run_phase(node_component[t], worker);
+          return run_phase(node_component[t]);
         }
         const auto p = static_cast<std::uint32_t>(t);
         const std::uint32_t c = strat.component_of[p];
         if (component_node[c] == util::kInvalidTask) {
           // Rule-less base predicate: the collector runs the phase
           // itself.
-          return run_phase(c, worker);
+          return run_phase(c);
         }
         // Derived predicate collector: forward the owner's verdict.
         return pred_changed[p] != 0;

@@ -5,7 +5,7 @@
 //
 // How it maps onto the model:
 //  * DAG nodes: one zero-work collector per predicate, one task per rule
-//    component (same shape as schedule_bridge.hpp);
+//    component (BuildActivationDag, schedule_bridge.hpp);
 //  * initially dirty: the base predicates the update touches (their
 //    component task, when they have rules);
 //  * a component task's body runs RunMaintenancePhase — the actual
@@ -24,6 +24,7 @@
 #include "datalog/incremental.hpp"
 #include "datalog/maintenance.hpp"
 #include "datalog/pipeline_plan.hpp"
+#include "datalog/schedule_bridge.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/pipeline.hpp"
 #include "trace/job_trace.hpp"
@@ -53,8 +54,8 @@ struct ParallelUpdateOptions {
   /// of the `plan` argument), and publishes this cascade's own per-level
   /// finalization as the levels drain.  Null = unpipelined.
   runtime::StratumFrontier* frontier = nullptr;
-  /// The dense 1-based session epoch of this update; stamped on every
-  /// published DeltaChunk and used to gate on epoch-1's frontier entry.
+  /// The dense 1-based session epoch of this update; used to gate on
+  /// epoch-1's frontier entry.
   std::uint64_t epoch = 0;
 
   // --- resource accounting (runtime/executor.hpp) ----------------------

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <thread>
 
 #include "obs/metrics.hpp"
-#include "obs/obs.hpp"
 #include "util/error.hpp"
 
 namespace dsched::datalog {
@@ -100,8 +98,6 @@ void Relation::InitShards(std::size_t shards) {
 }
 
 void Relation::CopyFrom(const Relation& other) {
-  DSCHED_CHECK_MSG(!other.HasPending(),
-                   "copying a relation with unapplied delta chunks");
   arity_ = other.arity_;
   InitShards(other.num_shards_);
   for (std::size_t s = 0; s < num_shards_; ++s) {
@@ -116,17 +112,7 @@ void Relation::CopyFrom(const Relation& other) {
                       std::memory_order_relaxed);
     dst.erase_epoch.store(src.erase_epoch.load(std::memory_order_relaxed),
                           std::memory_order_relaxed);
-    dst.applied_epoch.store(src.applied_epoch.load(std::memory_order_relaxed),
-                            std::memory_order_relaxed);
   }
-  publish_chunks_.store(other.publish_chunks_.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-  publish_rows_.store(other.publish_rows_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-  absorb_runs_.store(other.absorb_runs_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  absorb_waits_.store(other.absorb_waits_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
 }
 
 Relation::Relation(const Relation& other) { CopyFrom(other); }
@@ -144,14 +130,6 @@ Relation::Relation(Relation&& other) noexcept
       shard_bits_(other.shard_bits_),
       shard_mask_(other.shard_mask_),
       shards_(std::move(other.shards_)) {
-  publish_chunks_.store(other.publish_chunks_.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-  publish_rows_.store(other.publish_rows_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-  absorb_runs_.store(other.absorb_runs_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  absorb_waits_.store(other.absorb_waits_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
   other.InitShards(1);
 }
 
@@ -162,15 +140,6 @@ Relation& Relation::operator=(Relation&& other) noexcept {
     shard_bits_ = other.shard_bits_;
     shard_mask_ = other.shard_mask_;
     shards_ = std::move(other.shards_);
-    publish_chunks_.store(
-        other.publish_chunks_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    publish_rows_.store(other.publish_rows_.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-    absorb_runs_.store(other.absorb_runs_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    absorb_waits_.store(other.absorb_waits_.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
     other.InitShards(1);
   }
   return *this;
@@ -387,119 +356,6 @@ std::size_t Relation::MemoryBytes() const {
              shard.slots.capacity() * sizeof(std::uint64_t);
   }
   return bytes;
-}
-
-// --- Relation: delta publication -------------------------------------------
-
-void Relation::Publish(std::size_t shard_index, DeltaChunk* chunk) {
-  DSCHED_CHECK_MSG(chunk->values.size() == chunk->Count() * arity_ &&
-                       chunk->ops.size() == chunk->Count(),
-                   "malformed delta chunk");
-  chunk->applied.store(false, std::memory_order_relaxed);
-  publish_chunks_.fetch_add(1, std::memory_order_relaxed);
-  publish_rows_.fetch_add(chunk->Count(), std::memory_order_relaxed);
-  OBS_COUNTER(Category::kStorePublish, chunk->Count());
-  Shard& shard = shards_[shard_index];
-  DeltaChunk* head = shard.pending.load(std::memory_order_relaxed);
-  do {
-    chunk->next = head;
-  } while (!shard.pending.compare_exchange_weak(head, chunk,
-                                                std::memory_order_release,
-                                                std::memory_order_relaxed));
-}
-
-void Relation::ApplyChunk(Shard& shard, DeltaChunk& chunk) {
-  const std::size_t n = chunk.Count();
-  // Single absorber per shard (the absorbing flag), so a plain max works;
-  // relaxed is enough — readers only want the watermark, ordering comes
-  // from the chunk's own applied flag.
-  if (chunk.epoch > shard.applied_epoch.load(std::memory_order_relaxed)) {
-    shard.applied_epoch.store(chunk.epoch, std::memory_order_relaxed);
-  }
-  chunk.results.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const RowView row{chunk.values.data() + i * arity_, arity_};
-    const bool took_effect = chunk.ops[i] == kOpInsert
-                                 ? InsertLocal(shard, row, chunk.hashes[i])
-                                 : EraseLocal(shard, row, chunk.hashes[i]);
-    chunk.results[i] = took_effect ? kChanged : kNoChange;
-  }
-}
-
-bool Relation::TryAbsorb(std::size_t shard_index) {
-  Shard& shard = shards_[shard_index];
-  if (shard.pending.load(std::memory_order_relaxed) == nullptr) {
-    return true;  // nothing observed to drain
-  }
-  bool expected = false;
-  if (!shard.absorbing.compare_exchange_strong(expected, true,
-                                               std::memory_order_acquire,
-                                               std::memory_order_relaxed)) {
-    return false;  // another thread's drain is in progress
-  }
-  OBS_SCOPE(Category::kStoreAbsorb);
-  absorb_runs_.fetch_add(1, std::memory_order_relaxed);
-  while (DeltaChunk* head =
-             shard.pending.exchange(nullptr, std::memory_order_acquire)) {
-    // The Treiber list is newest-first; reverse to publication order.
-    DeltaChunk* fifo = nullptr;
-    while (head != nullptr) {
-      DeltaChunk* next = head->next;
-      head->next = fifo;
-      fifo = head;
-      head = next;
-    }
-    while (fifo != nullptr) {
-      // Read `next` before marking applied: the publisher owns the chunk
-      // again (and may Reset it) the instant `applied` flips.
-      DeltaChunk* next = fifo->next;
-      ApplyChunk(shard, *fifo);
-      fifo->applied.store(true, std::memory_order_release);
-      fifo = next;
-    }
-  }
-  shard.absorbing.store(false, std::memory_order_release);
-  return true;
-}
-
-void Relation::WaitApplied(std::size_t shard_index, const DeltaChunk& chunk) {
-  if (chunk.applied.load(std::memory_order_acquire)) {
-    return;
-  }
-  absorb_waits_.fetch_add(1, std::memory_order_relaxed);
-  std::size_t spins = 0;
-  while (true) {
-    TryAbsorb(shard_index);
-    if (chunk.applied.load(std::memory_order_acquire)) {
-      return;
-    }
-    if (++spins >= 64) {
-      std::this_thread::yield();
-      spins = 0;
-    }
-  }
-}
-
-void Relation::Quiesce() {
-  for (std::size_t s = 0; s < num_shards_; ++s) {
-    Shard& shard = shards_[s];
-    while (shard.pending.load(std::memory_order_acquire) != nullptr ||
-           shard.absorbing.load(std::memory_order_acquire)) {
-      if (!TryAbsorb(s)) {
-        std::this_thread::yield();
-      }
-    }
-  }
-}
-
-bool Relation::HasPending() const {
-  for (std::size_t s = 0; s < num_shards_; ++s) {
-    if (shards_[s].pending.load(std::memory_order_acquire) != nullptr ||
-        shards_[s].absorbing.load(std::memory_order_acquire)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 // --- RelationStore ----------------------------------------------------------
@@ -824,28 +680,16 @@ void RelationStore::ExportMetrics(obs::MetricsRegistry& registry,
                index_extend_rows_.load(std::memory_order_relaxed));
   registry.Set(prefix + "index_shard_skips",
                index_shard_skips_.load(std::memory_order_relaxed));
-  std::uint64_t publish_chunks = 0;
-  std::uint64_t publish_rows = 0;
-  std::uint64_t absorb_runs = 0;
-  std::uint64_t absorb_waits = 0;
   std::uint64_t rows = 0;
   std::uint64_t max_shard_rows = 0;
   std::size_t shards = 0;
   for (const Relation& r : relations_) {
-    publish_chunks += r.PublishedChunks();
-    publish_rows += r.PublishedRows();
-    absorb_runs += r.AbsorbRuns();
-    absorb_waits += r.AbsorbWaits();
     shards = std::max(shards, r.NumShards());
     for (std::size_t s = 0; s < r.NumShards(); ++s) {
       rows += r.ShardSize(s);
       max_shard_rows = std::max<std::uint64_t>(max_shard_rows, r.ShardSize(s));
     }
   }
-  registry.Set(prefix + "publish_chunks", publish_chunks);
-  registry.Set(prefix + "publish_rows", publish_rows);
-  registry.Set(prefix + "absorb_runs", absorb_runs);
-  registry.Set(prefix + "absorb_waits", absorb_waits);
   registry.Set(prefix + "shards", shards);
   registry.Set(prefix + "rows", rows);
   registry.Set(prefix + "shard_rows_max", max_shard_rows);

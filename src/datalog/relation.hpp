@@ -14,15 +14,14 @@
 // Bit 31 is reserved (kExtraBit) for overlay views (OldStateView) that need
 // to hand out ids for rows not present in the relation.
 //
-// Concurrency: distinct shards are disjoint down to the allocator, so
-// concurrent writers touching different shards never contend.  Writers that
-// cannot prove shard ownership stage rows into DeltaChunks and publish them
-// with one atomic list-append per shard (MPSC); any thread may then absorb
-// the pending chunks into the shard under a per-shard exclusive flag.  See
-// delta_buffer.hpp for the worker-side staging buffer.
+// Concurrency: a relation has one writer at a time, the maintenance phase
+// of the component that owns it; the activation DAG's precedence (and the
+// epoch pipeline's fences) keep every other phase that touches it out until
+// that phase finished.  Insert/Erase are therefore plain single-owner
+// mutations.  The per-shard row counts and version stamps are atomics only
+// so index readers on other threads see torn-free values.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -52,45 +51,6 @@ class Relation {
   /// always < 2^31, so views layered on top (OldStateView) can tag ids of
   /// rows that live outside the relation.
   static constexpr std::uint32_t kExtraBit = 0x80000000u;
-
-  /// Delta-publication ops.
-  static constexpr std::uint8_t kOpErase = 0;
-  static constexpr std::uint8_t kOpInsert = 1;
-
-  /// Per-op outcome codes written to DeltaChunk::results: kChanged = the
-  /// insert was fresh / the erase found its row.
-  static constexpr std::uint8_t kNoChange = 0;
-  static constexpr std::uint8_t kChanged = 1;
-
-  /// A batch of staged mutations for one shard, published by a writer and
-  /// applied by whichever thread absorbs the shard's pending list.  The
-  /// publisher owns the chunk's storage; it must not touch any field after
-  /// Publish() until `applied` reads true (acquire), at which point
-  /// `results[i]` says whether op i took effect (insert was fresh / erase
-  /// found its row).
-  struct DeltaChunk {
-    std::vector<Value> values;          ///< count × arity staged words
-    std::vector<std::uint64_t> hashes;  ///< per staged row, full tuple hash
-    std::vector<std::uint8_t> ops;      ///< per row: kOpInsert/kOpErase
-    std::vector<std::uint8_t> results;  ///< absorber-written outcome per row
-    /// Update epoch of the publishing cascade (0 = untagged).  Absorbed
-    /// into the shard's applied_epoch watermark — the epoch pipeline's
-    /// "which generation wrote this shard last" diagnostic.
-    std::uint64_t epoch = 0;
-    DeltaChunk* next = nullptr;         ///< intrusive pending-list link
-    std::atomic<bool> applied{false};
-
-    [[nodiscard]] std::size_t Count() const { return hashes.size(); }
-    void Reset() {
-      values.clear();
-      hashes.clear();
-      ops.clear();
-      results.clear();
-      epoch = 0;
-      next = nullptr;
-      applied.store(false, std::memory_order_relaxed);
-    }
-  };
 
   explicit Relation(std::size_t arity = 0,
                     std::size_t shards = kDefaultShards);
@@ -140,23 +100,6 @@ class Relation {
   /// strictly append.
   [[nodiscard]] std::uint64_t ShardEraseEpoch(std::size_t shard) const {
     return shards_[shard].erase_epoch.load(std::memory_order_relaxed);
-  }
-
-  /// Highest UPDATE epoch (ShardedWriteBuffer::SetEpoch tag, not the erase
-  /// counter above) among the chunks absorbed into `shard`; 0 before any
-  /// tagged publication.  Diagnostic for the epoch pipeline: which update
-  /// generation last touched each shard.
-  [[nodiscard]] std::uint64_t ShardAppliedEpoch(std::size_t shard) const {
-    return shards_[shard].applied_epoch.load(std::memory_order_relaxed);
-  }
-
-  /// Max ShardAppliedEpoch over all shards.
-  [[nodiscard]] std::uint64_t LastAppliedEpoch() const {
-    std::uint64_t last = 0;
-    for (std::size_t s = 0; s < num_shards_; ++s) {
-      last = std::max(last, ShardAppliedEpoch(s));
-    }
-    return last;
   }
 
   /// The row at public id `row` as a view into its shard's arena.  Valid
@@ -224,58 +167,6 @@ class Relation {
   /// instead of rebuilding.
   [[nodiscard]] std::uint64_t EraseEpoch() const;
 
-  // --- Lock-free delta publication (MPSC per shard) -----------------------
-  //
-  // Protocol: a writer stages rows for shard S into a DeltaChunk (values /
-  // hashes / ops filled, results sized to count) and calls
-  // Publish(S, chunk): one release compare-exchange appends the chunk to
-  // S's pending list.  Any thread may call TryAbsorb(S); the winner of the
-  // per-shard absorbing flag drains the pending list FIFO, applies each
-  // chunk with the shard's ordinary single-writer insert/erase code, fills
-  // `results`, and stores `applied` with release.  A publisher that needs
-  // read-your-writes calls WaitApplied(), which assists by absorbing
-  // instead of spinning idle, so progress never depends on a particular
-  // thread being scheduled.
-  //
-  // Safety contract (matches the engine's phase discipline): while chunks
-  // may be in flight for a relation, no thread calls the direct mutators
-  // (Insert/Erase/Reserve) or reads the shard's rows without first ensuring
-  // its chunks applied.  Distinct relations are always independent.
-
-  /// Appends a fully staged chunk to `shard`'s pending list.  The chunk
-  /// must stay alive and untouched until `applied` reads true.
-  void Publish(std::size_t shard, DeltaChunk* chunk);
-
-  /// Attempts to drain `shard`'s pending list.  Returns false if another
-  /// thread holds the shard's absorbing flag (its drain is in progress).
-  /// Returns true once this thread has drained the list it observed.
-  bool TryAbsorb(std::size_t shard);
-
-  /// Blocks (assisting) until `chunk`, previously Publish()ed to `shard`,
-  /// has been applied.
-  void WaitApplied(std::size_t shard, const DeltaChunk& chunk);
-
-  /// Drains every shard's pending list.  Single-threaded convenience for
-  /// tests and teardown paths.
-  void Quiesce();
-
-  /// True if any shard has unapplied published chunks.
-  [[nodiscard]] bool HasPending() const;
-
-  // Publication counters (relaxed; monotone).
-  [[nodiscard]] std::uint64_t PublishedChunks() const {
-    return publish_chunks_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t PublishedRows() const {
-    return publish_rows_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t AbsorbRuns() const {
-    return absorb_runs_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t AbsorbWaits() const {
-    return absorb_waits_.load(std::memory_order_relaxed);
-  }
-
   /// Approximate resident bytes.
   [[nodiscard]] std::size_t MemoryBytes() const;
 
@@ -285,8 +176,8 @@ class Relation {
   /// One hash partition: arena + per-row hashes + membership table over
   /// shard-local row ids.  num_rows/version/erase_epoch are atomics only so
   /// observers on other threads (Size(), index freshness checks) read
-  /// torn-free values; every mutation happens under exclusive ownership of
-  /// the shard (direct writer or absorbing-flag holder).
+  /// torn-free values; every mutation comes from the relation's single
+  /// writer.
   struct Shard {
     std::vector<Value> arena;            ///< num_rows × arity words
     std::vector<std::uint64_t> hashes;   ///< per-row full hash
@@ -297,10 +188,6 @@ class Relation {
     std::atomic<std::uint32_t> num_rows{0};
     std::atomic<std::uint64_t> version{0};
     std::atomic<std::uint64_t> erase_epoch{0};
-    /// Max DeltaChunk::epoch absorbed so far (update-epoch watermark).
-    std::atomic<std::uint64_t> applied_epoch{0};
-    std::atomic<DeltaChunk*> pending{nullptr};  ///< push-only Treiber list
-    std::atomic<bool> absorbing{false};         ///< drain exclusion flag
   };
 
   void InitShards(std::size_t shards);
@@ -317,18 +204,11 @@ class Relation {
   bool InsertLocal(Shard& shard, RowView tuple, std::uint64_t hash);
   bool EraseLocal(Shard& shard, RowView tuple, std::uint64_t hash);
 
-  /// Applies one chunk to its shard; caller holds the absorbing flag.
-  void ApplyChunk(Shard& shard, DeltaChunk& chunk);
-
   std::size_t arity_;
   std::size_t num_shards_ = 1;
   std::size_t shard_bits_ = 0;
   std::size_t shard_mask_ = 0;
   std::unique_ptr<Shard[]> shards_;
-  std::atomic<std::uint64_t> publish_chunks_{0};
-  std::atomic<std::uint64_t> publish_rows_{0};
-  std::atomic<std::uint64_t> absorb_runs_{0};
-  std::atomic<std::uint64_t> absorb_waits_{0};
 };
 
 /// One Relation per predicate of a program, plus a cache of column indexes

@@ -7,6 +7,69 @@
 
 namespace dsched::datalog {
 
+ActivationDag BuildActivationDag(const Program& program,
+                                 const Stratification& strat,
+                                 const UpdateRequest& request) {
+  const std::size_t num_preds = program.NumPredicates();
+  const std::size_t num_comps = strat.NumComponents();
+  ActivationDag out;
+
+  // --- Node layout: predicates first, then one task node per component
+  // that actually owns rules.
+  out.component_node.assign(num_comps, util::kInvalidTask);
+  std::size_t next_node = num_preds;
+  for (std::uint32_t c = 0; c < num_comps; ++c) {
+    if (!strat.component_rules[c].empty()) {
+      out.component_node[c] = static_cast<util::TaskId>(next_node++);
+    }
+  }
+
+  graph::DigraphBuilder builder(next_node);
+  for (std::uint32_t c = 0; c < num_comps; ++c) {
+    const util::TaskId task = out.component_node[c];
+    if (task == util::kInvalidTask) {
+      continue;
+    }
+    // component → member predicates.
+    for (const std::uint32_t p : strat.component_members[c]) {
+      builder.AddEdge(task, static_cast<util::TaskId>(p));
+    }
+    // external body predicates → component.
+    for (const std::size_t r : strat.component_rules[c]) {
+      for (const BodyElement& element : program.rules[r].body) {
+        if (const auto* literal = std::get_if<Literal>(&element)) {
+          const std::uint32_t p = literal->atom.predicate;
+          if (strat.component_of[p] != c) {
+            builder.AddEdge(static_cast<util::TaskId>(p), task);
+          }
+        }
+      }
+    }
+  }
+  out.graph = std::move(builder).Build();
+
+  // --- Initially dirty: base predicates the request touches.  A base
+  // change to a predicate that also has rules dirties the component's task
+  // itself (it must reconcile the change).
+  std::vector<bool> pred_touched(num_preds, false);
+  for (const auto* side : {&request.insertions, &request.deletions}) {
+    for (const auto& change : *side) {
+      DSCHED_CHECK_MSG(change.first < num_preds, "unknown predicate id");
+      pred_touched[change.first] = true;
+    }
+  }
+  for (std::size_t p = 0; p < num_preds; ++p) {
+    if (!pred_touched[p]) {
+      continue;
+    }
+    const util::TaskId task = out.component_node[strat.component_of[p]];
+    out.dirty.push_back(task == util::kInvalidTask
+                            ? static_cast<util::TaskId>(p)
+                            : task);
+  }
+  return out;
+}
+
 UpdateTrace BuildUpdateTrace(const Program& program,
                              const Stratification& strat,
                              const UpdateRequest& request,
@@ -17,44 +80,13 @@ UpdateTrace BuildUpdateTrace(const Program& program,
   UpdateTrace out;
   const std::size_t num_preds = program.NumPredicates();
   const std::size_t num_comps = strat.NumComponents();
-
-  // --- Node layout: predicates first, then one task node per component
-  // that actually owns rules.
+  ActivationDag dag = BuildActivationDag(program, strat, request);
+  const std::size_t num_nodes = dag.graph.NumNodes();
   out.predicate_node.resize(num_preds);
   for (std::size_t p = 0; p < num_preds; ++p) {
     out.predicate_node[p] = static_cast<util::TaskId>(p);
   }
-  out.component_node.assign(num_comps, util::kInvalidTask);
-  std::size_t next_node = num_preds;
-  for (std::uint32_t c = 0; c < num_comps; ++c) {
-    if (!strat.component_rules[c].empty()) {
-      out.component_node[c] = static_cast<util::TaskId>(next_node++);
-    }
-  }
-  const std::size_t num_nodes = next_node;
-
-  graph::DigraphBuilder builder(num_nodes);
-  for (std::uint32_t c = 0; c < num_comps; ++c) {
-    const util::TaskId task = out.component_node[c];
-    if (task == util::kInvalidTask) {
-      continue;
-    }
-    // component → member predicates.
-    for (const std::uint32_t p : strat.component_members[c]) {
-      builder.AddEdge(task, out.predicate_node[p]);
-    }
-    // external body predicates → component.
-    for (const std::size_t r : strat.component_rules[c]) {
-      for (const BodyElement& element : program.rules[r].body) {
-        if (const auto* literal = std::get_if<Literal>(&element)) {
-          const std::uint32_t p = literal->atom.predicate;
-          if (strat.component_of[p] != c) {
-            builder.AddEdge(out.predicate_node[p], task);
-          }
-        }
-      }
-    }
-  }
+  out.component_node = std::move(dag.component_node);
 
   // --- Per-node info.
   std::vector<trace::TaskInfo> infos(num_nodes);
@@ -112,34 +144,8 @@ UpdateTrace BuildUpdateTrace(const Program& program,
     out.labels[task] = label;
   }
 
-  // --- Initially dirty: base predicates the request touches, plus the task
-  // nodes of components whose *members* the request touches directly.
-  std::vector<util::TaskId> dirty;
-  std::vector<bool> pred_touched(num_preds, false);
-  for (const auto& [pred, tuple] : request.insertions) {
-    (void)tuple;
-    pred_touched[pred] = true;
-  }
-  for (const auto& [pred, tuple] : request.deletions) {
-    (void)tuple;
-    pred_touched[pred] = true;
-  }
-  for (std::size_t p = 0; p < num_preds; ++p) {
-    if (!pred_touched[p]) {
-      continue;
-    }
-    const std::uint32_t c = strat.component_of[p];
-    if (out.component_node[c] == util::kInvalidTask) {
-      dirty.push_back(out.predicate_node[p]);
-    } else {
-      // Base change to a predicate that also has rules: the evaluation task
-      // itself is dirtied (it must reconcile the change).
-      dirty.push_back(out.component_node[c]);
-    }
-  }
-
-  out.trace = trace::JobTrace(std::move(trace_name), std::move(builder).Build(),
-                              std::move(infos), std::move(dirty));
+  out.trace = trace::JobTrace(std::move(trace_name), std::move(dag.graph),
+                              std::move(infos), std::move(dag.dirty));
   return out;
 }
 

@@ -42,9 +42,8 @@ enum class Category : std::uint8_t {
   kJoinProbe,  ///< the nested-loop join itself
   kJoinEmit,   ///< counter: head tuples emitted by the application
 
-  // Sharded relation store (datalog/relation.cpp).
-  kStorePublish,  ///< counter: staged rows published to shard delta lists
-  kStoreAbsorb,   ///< scope: draining a shard's pending chunks
+  // Nothing emits kStoreAbsorb now; it stays because perfbench/main.cpp names it.
+  kStoreAbsorb,
 
   // Incremental maintenance strategies (datalog/maintenance.cpp).
   kMaintPhase,            ///< scope: one component's maintenance phase body

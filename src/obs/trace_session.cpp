@@ -98,8 +98,6 @@ const char* CategoryName(Category category) {
       return "join.probe";
     case Category::kJoinEmit:
       return "join.emit";
-    case Category::kStorePublish:
-      return "store.publish";
     case Category::kStoreAbsorb:
       return "store.absorb";
     case Category::kMaintPhase:
@@ -170,7 +168,6 @@ const char* CategoryGroup(Category category) {
     case Category::kJoinProbe:
     case Category::kJoinEmit:
       return "join";
-    case Category::kStorePublish:
     case Category::kStoreAbsorb:
       return "store";
     case Category::kMaintPhase:
@@ -208,7 +205,6 @@ const char* CategoryGroup(Category category) {
 bool IsCounterCategory(Category category) {
   return category == Category::kPoolSteal ||
          category == Category::kJoinEmit ||
-         category == Category::kStorePublish ||
          category == Category::kMaintOverdelete ||
          category == Category::kMaintOverdeleteAvoided ||
          category == Category::kMaintBackwardProbe ||

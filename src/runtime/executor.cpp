@@ -68,10 +68,8 @@ Executor::RunStats Executor::Run(TaskRouter& router,
                                  const Options& options) {
   CompletionBuffer completions;
   TaskRouter::Channel channel =
-      router.OpenChannel([&](TaskId t, std::size_t worker) {
-        const bool changed =
-            body ? body(t, worker) : trace.Info(t).output_changes;
-        completions.Push(t, changed);
+      router.OpenChannel([&](TaskId t) {
+        completions.Push(t, body ? body(t) : trace.Info(t).output_changes);
       });
   const std::size_t num_workers = router.NumWorkers();
   const graph::Dag& dag = trace.Graph();

@@ -111,14 +111,10 @@ struct ResourceAccount {
 class Executor {
  public:
   /// A task body: does the task's work, returns true iff the task's output
-  /// changed (which activates its children).  `worker` is the index of the
-  /// router worker running the task (in [0, TaskRouter::NumWorkers())) —
-  /// how per-worker state such as the parallel Datalog engine's
-  /// worker-local delta buffers reaches the body without thread-local
-  /// lookups.  Bodies run concurrently and must not touch the scheduler.
-  /// A null body falls back to the trace's recorded output_changes bits
-  /// and does no work.
-  using TaskBody = std::function<bool(TaskId task, std::size_t worker)>;
+  /// changed (which activates its children).  Bodies run concurrently and
+  /// must not touch the scheduler.  A null body falls back to the trace's
+  /// recorded output_changes bits and does no work.
+  using TaskBody = std::function<bool(TaskId task)>;
 
   struct Options {
     /// Epoch-pipelining context (runtime/pipeline.hpp).  When set, popped

@@ -4,10 +4,10 @@
 // The model (DESIGN.md §12): every cascade is tagged with a dense 1-based
 // epoch.  A StratumFrontier records, per epoch, how many dependency LEVELS
 // the cascade has finalized — level L is finalized once every activated
-// task at levels <= L has completed, which (because a phase's write buffers
-// wait on the per-shard version counters before the task completes, see
-// delta_buffer.hpp) means every store write at those levels is fully
-// absorbed and visible.  Epoch e+1's coordinator holds back any task whose
+// task at levels <= L has completed, which (because a phase writes the
+// store directly and its Insert/Erase calls return before the task
+// completes) means every store write at those levels is done and visible.
+// Epoch e+1's coordinator holds back any task whose
 // FENCE exceeds epoch e's finalized level; the fence of a component covers
 // both its own writes (write/write against e's same-level tasks) and the
 // deepest reader of its member predicates (write/read against e's

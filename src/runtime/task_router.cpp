@@ -22,9 +22,7 @@ TaskRouter::TaskRouter(const Options& options) {
     free_ids_.push_back(static_cast<std::uint32_t>(i - 1));
   }
   pool_ = std::make_unique<ThreadPool>(
-      options.workers, [this](ThreadPool::WorkItem item, std::size_t worker) {
-        Dispatch(item, worker);
-      });
+      options.workers, [this](ThreadPool::WorkItem item) { Dispatch(item); });
 }
 
 TaskRouter::~TaskRouter() {
@@ -60,14 +58,14 @@ std::size_t TaskRouter::OpenChannels() const {
   return open_count_;
 }
 
-void TaskRouter::Dispatch(ThreadPool::WorkItem item, std::size_t worker) {
+void TaskRouter::Dispatch(ThreadPool::WorkItem item) {
   const auto id = static_cast<std::uint32_t>(item >> 32);
   const auto task = static_cast<util::TaskId>(item & 0xffffffffULL);
   Slot& slot = *slots_[id];
   // The acquire/release pair brackets the body call so CloseChannel's spin
   // on `active == 0` (acquire) observes everything the body did.
   slot.active.fetch_add(1, std::memory_order_acquire);
-  slot.body(task, worker);
+  slot.body(task);
   slot.active.fetch_sub(1, std::memory_order_release);
 }
 

@@ -44,9 +44,8 @@ namespace dsched::runtime {
 /// concurrently from any number of coordinator threads.
 class TaskRouter {
  public:
-  /// Per-task body of one channel: does the work for `task`, may use
-  /// `worker` (in [0, NumWorkers())) to reach worker-local state.
-  using ChannelBody = std::function<void(util::TaskId task, std::size_t worker)>;
+  /// Per-task body of one channel: does the work for `task`.
+  using ChannelBody = std::function<void(util::TaskId task)>;
 
   struct Options {
     std::size_t workers = 4;
@@ -122,7 +121,7 @@ class TaskRouter {
            static_cast<ThreadPool::WorkItem>(task);
   }
 
-  void Dispatch(ThreadPool::WorkItem item, std::size_t worker);
+  void Dispatch(ThreadPool::WorkItem item);
   void CloseChannel(std::uint32_t id);
 
   std::vector<std::unique_ptr<Slot>> slots_;

@@ -165,7 +165,7 @@ void ThreadPool::WorkerLoop(std::size_t self) {
   for (;;) {
     WorkItem task = 0;
     if (TryPopOwn(self, task) || TrySteal(self, task)) {
-      run_(task, self);
+      run_(task);
       own.executed.fetch_add(1, std::memory_order_relaxed);
       FinishOne();
       continue;

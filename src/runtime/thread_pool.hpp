@@ -55,11 +55,8 @@ class ThreadPool {
   using WorkItem = std::uint64_t;
 
   /// The per-item body, fixed for the pool's lifetime (so per-item submits
-  /// move an 8-byte word, not a closure).  The second argument is the index
-  /// of the worker running the item (in [0, NumWorkers())), so bodies can
-  /// reach worker-local state — e.g. the per-worker write buffers of the
-  /// parallel Datalog engine — without thread-local lookups.
-  using TaskFn = std::function<void(WorkItem, std::size_t worker)>;
+  /// move an 8-byte word, not a closure).
+  using TaskFn = std::function<void(WorkItem)>;
 
   /// Spawns `workers` threads (at least 1) running `run` over items.
   ThreadPool(std::size_t workers, TaskFn run);

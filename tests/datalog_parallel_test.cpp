@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "datalog/database.hpp"
 #include "datalog/eval.hpp"
@@ -191,15 +192,23 @@ TEST(ParallelUpdateTest, WrongArityRequestThrowsBeforeAnyTaskRuns) {
   const std::vector<Tuple> before =
       Sorted(fixture.store.Of(fixture.program.PredicateId("e")).Tuples());
   TaskRouter router({.workers = 2});
-  for (const bool insert : {true, false}) {
-    UpdateRequest request;
-    auto& side = insert ? request.insertions : request.deletions;
-    side.emplace_back(fixture.program.PredicateId("e"), Tuple{Value::Int(1)});
-    EXPECT_THROW((void)ApplyParallel(fixture.program, fixture.strat, nullptr,
-                                     fixture.store, request,
-                                     {.router = &router}),
-                 util::InvalidArgument)
-        << (insert ? "insert" : "delete");
+  // A wrong-arity tuple, then an out-of-range predicate id: both are bad
+  // input, not a library bug.
+  const std::pair<std::uint32_t, Tuple> malformed[] = {
+      {fixture.program.PredicateId("e"), Tuple{Value::Int(1)}},
+      {static_cast<std::uint32_t>(fixture.program.NumPredicates()),
+       Tuple{Value::Int(1), Value::Int(2)}}};
+  for (const auto& [pred, tuple] : malformed) {
+    for (const bool insert : {true, false}) {
+      UpdateRequest request;
+      auto& side = insert ? request.insertions : request.deletions;
+      side.emplace_back(pred, tuple);
+      EXPECT_THROW((void)ApplyParallel(fixture.program, fixture.strat, nullptr,
+                                       fixture.store, request,
+                                       {.router = &router}),
+                   util::InvalidArgument)
+          << (insert ? "insert" : "delete") << " on predicate " << pred;
+    }
   }
   EXPECT_EQ(Sorted(fixture.store.Of(fixture.program.PredicateId("e")).Tuples()),
             before);

@@ -100,7 +100,7 @@ TEST(RuntimeStressTest, PrecedenceHoldsAcrossSchedulersAndWorkerCounts) {
         std::atomic<int> violations{0};
         const auto stats = Executor::Run(
             router, trace, *scheduler,
-            [&](util::TaskId t, std::size_t) {
+            [&](util::TaskId t) {
               for (const util::TaskId a : ancestors[t]) {
                 if (!completed[a].load()) {
                   violations.fetch_add(1);

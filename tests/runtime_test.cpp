@@ -21,7 +21,7 @@ namespace {
 
 TEST(ThreadPoolTest, RunsAllJobs) {
   std::atomic<int> counter{0};
-  ThreadPool pool(4, [&counter](util::TaskId, std::size_t) { counter.fetch_add(1); });
+  ThreadPool pool(4, [&counter](util::TaskId) { counter.fetch_add(1); });
   for (util::TaskId i = 0; i < 100; ++i) {
     pool.Submit(i);
   }
@@ -34,7 +34,7 @@ TEST(ThreadPoolTest, RunsAllJobs) {
 
 TEST(ThreadPoolTest, WaitBlocksUntilDrained) {
   std::atomic<int> done{0};
-  ThreadPool pool(2, [&done](util::TaskId, std::size_t) {
+  ThreadPool pool(2, [&done](util::TaskId) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     done.fetch_add(1);
   });
@@ -48,7 +48,7 @@ TEST(ThreadPoolTest, WaitBlocksUntilDrained) {
 TEST(ThreadPoolTest, DestructorJoinsCleanly) {
   std::atomic<int> done{0};
   {
-    ThreadPool pool(3, [&done](util::TaskId, std::size_t) { done.fetch_add(1); });
+    ThreadPool pool(3, [&done](util::TaskId) { done.fetch_add(1); });
     for (util::TaskId i = 0; i < 20; ++i) {
       pool.Submit(i);
     }
@@ -59,7 +59,7 @@ TEST(ThreadPoolTest, DestructorJoinsCleanly) {
 
 TEST(ThreadPoolTest, SubmitBatchRunsEveryItemExactlyOnce) {
   std::vector<std::atomic<int>> seen(500);
-  ThreadPool pool(4, [&seen](ThreadPool::WorkItem t, std::size_t) { seen[t].fetch_add(1); });
+  ThreadPool pool(4, [&seen](ThreadPool::WorkItem t) { seen[t].fetch_add(1); });
   std::vector<ThreadPool::WorkItem> batch(500);
   for (ThreadPool::WorkItem i = 0; i < 500; ++i) {
     batch[i] = i;
@@ -74,7 +74,7 @@ TEST(ThreadPoolTest, SubmitBatchRunsEveryItemExactlyOnce) {
 
 TEST(ThreadPoolTest, ReusableAcrossWaits) {
   std::atomic<int> done{0};
-  ThreadPool pool(2, [&done](util::TaskId, std::size_t) { done.fetch_add(1); });
+  ThreadPool pool(2, [&done](util::TaskId) { done.fetch_add(1); });
   for (int round = 0; round < 5; ++round) {
     std::vector<ThreadPool::WorkItem> batch = {0, 1, 2, 3};
     pool.SubmitBatch(batch);
@@ -89,7 +89,7 @@ TEST(ThreadPoolTest, StealsRebalanceSkewedBatches) {
   // workers, one deque holds ~half the items; the blocked owner forces
   // every one of them to be stolen.
   std::atomic<int> done{0};
-  ThreadPool pool(2, [&done](ThreadPool::WorkItem t, std::size_t) {
+  ThreadPool pool(2, [&done](ThreadPool::WorkItem t) {
     if (t == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(30));
     }
@@ -110,9 +110,9 @@ TEST(TaskRouterTest, ChannelsRouteToTheirOwnBodies) {
   std::atomic<int> a{0};
   std::atomic<int> b{0};
   auto ca = router.OpenChannel(
-      [&a](util::TaskId, std::size_t) { a.fetch_add(1); });
+      [&a](util::TaskId) { a.fetch_add(1); });
   auto cb = router.OpenChannel(
-      [&b](util::TaskId, std::size_t) { b.fetch_add(1); });
+      [&b](util::TaskId) { b.fetch_add(1); });
   std::vector<util::TaskId> tasks(100);
   for (util::TaskId i = 0; i < 100; ++i) {
     tasks[i] = i;
@@ -134,10 +134,10 @@ TEST(TaskRouterTest, SlotsRecycleAfterClose) {
   for (int round = 0; round < 10; ++round) {
     std::atomic<int> ran{0};
     auto c1 = router.OpenChannel(
-        [&ran](util::TaskId, std::size_t) { ran.fetch_add(1); });
+        [&ran](util::TaskId) { ran.fetch_add(1); });
     auto c2 = router.OpenChannel(
-        [&ran](util::TaskId, std::size_t) { ran.fetch_add(1); });
-    EXPECT_THROW(router.OpenChannel([](util::TaskId, std::size_t) {}),
+        [&ran](util::TaskId) { ran.fetch_add(1); });
+    EXPECT_THROW(router.OpenChannel([](util::TaskId) {}),
                  util::InvalidArgument);
     const std::vector<util::TaskId> tasks = {0, 1, 2, 3};
     c1.SubmitBatch(tasks);
@@ -162,7 +162,7 @@ TEST(TaskRouterTest, ConcurrentCoordinatorsInterleaveOnOnePool) {
       for (int round = 0; round < 20; ++round) {
         std::atomic<int> ran{0};
         auto channel = router.OpenChannel(
-            [&](util::TaskId, std::size_t) { ran.fetch_add(1); });
+            [&](util::TaskId) { ran.fetch_add(1); });
         std::vector<util::TaskId> tasks(50);
         for (util::TaskId i = 0; i < 50; ++i) {
           tasks[i] = i;
@@ -201,8 +201,7 @@ TEST(ExecutorTest, OneAndFourWorkerRoutersRunTheSameCascade) {
       auto scheduler = sched::CreateScheduler(spec);
       stats[r] = Executor::Run(
           r == 0 ? serial : shared, trace, *scheduler,
-          [&](util::TaskId t, std::size_t worker) {
-            EXPECT_LT(worker, r == 0 ? 1u : 4u);
+          [&](util::TaskId t) {
             ran[r][t].fetch_add(1);
             return trace.Info(t).output_changes;
           },
@@ -235,7 +234,7 @@ TEST(ExecutorTest, ConcurrentCascadesOnOneRouterStayIsolated) {
       std::atomic<std::size_t> count{0};
       const auto stats = Executor::Run(
           router, trace, *scheduler,
-          [&](util::TaskId t, std::size_t) {
+          [&](util::TaskId t) {
             count.fetch_add(1);
             return trace.Info(t).output_changes;
           },
@@ -265,7 +264,7 @@ TEST(ExecutorTest, RunsExactlyTheCascade) {
   std::atomic<int> executed{0};
   const auto stats = Executor::Run(
       router, trace, scheduler,
-      [&](util::TaskId t, std::size_t) {
+      [&](util::TaskId t) {
         executed.fetch_add(1);
         return trace.Info(t).output_changes;
       },
@@ -292,7 +291,7 @@ TEST(ExecutorTest, DynamicOutputChangesControlActivation) {
   TaskRouter router({.workers = 2});
   const auto stats = Executor::Run(
       router, trace, scheduler,
-      [](util::TaskId t, std::size_t) { return t < 2; }, {});
+      [](util::TaskId t) { return t < 2; }, {});
   EXPECT_EQ(stats.executed, 3u);  // 0, 1, 2 (2 runs but stops the cascade)
 }
 
@@ -303,7 +302,7 @@ TEST(ExecutorTest, ParallelismActuallyOverlaps) {
   TaskRouter router({.workers = 4});
   const auto stats = Executor::Run(
       router, trace, *scheduler,
-      [](util::TaskId, std::size_t) {
+      [](util::TaskId) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
         return true;
       },
