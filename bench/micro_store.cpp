@@ -1,18 +1,17 @@
-// Sharded-store benchmark: single-writer inserts, probes, and erases
-// against the hash-sharded Relation, sweeping shard counts.  A relation has
-// one writer at a time (the maintenance phase that owns it), so every cell
-// drives the direct Insert/Contains/Erase path from one thread.  Emits
-// BENCH_store.json so future PRs can track the trajectory.
+// Store benchmark: single-writer inserts, probes, and erases against one
+// Relation.  A relation has one writer at a time (the maintenance phase that
+// owns it), so every cell drives the direct Insert/Contains/Erase path from
+// one thread.  Emits BENCH_store.json so future changes can track the
+// trajectory.
 //
 // Workloads (arity-2 tuples, multiplicative key scatter):
-//   serial_insert_pP    — direct Insert() into P shards.
-//   probe_pP            — Contains() over a populated store, alternating
+//   serial_insert       — direct Insert() of every tuple.
+//   probe               — Contains() over a populated store, alternating
 //                         hits and misses.
-//   mixed_erase_pP      — insert then erase every other tuple.
+//   mixed_erase         — insert then erase every other tuple.
 //
-// Every insert cell must converge to the same relation contents: the
-// harness cross-checks an order-independent checksum across shard counts,
-// so the bench doubles as a stress test.
+// Each cell records a content checksum (order-independent sum, hit count,
+// or surviving size) that the regression gate compares exactly.
 //
 // Usage: micro_store [--out=BENCH_store.json] [--scale=1.0] [--trace=out.json]
 #include <cstdint>
@@ -32,7 +31,7 @@ using datalog::Tuple;
 using datalog::Value;
 
 // Odd-constant multiply (a bijection mod 2^64) so keys land in arbitrary
-// shards and slots; sequential keys would serialize on one shard.
+// slots; sequential keys would probe in lockstep.
 std::uint64_t Scatter(std::uint64_t i) { return i * 0x9e3779b97f4a7c15ULL; }
 
 Tuple MakeTuple(std::uint64_t i) {
@@ -41,8 +40,7 @@ Tuple MakeTuple(std::uint64_t i) {
           Value::Int(static_cast<std::int64_t>(i))};
 }
 
-/// Order-independent content fingerprint (shard-major iteration order
-/// differs across shard counts; addition does not care).
+/// Order-independent content fingerprint.
 std::uint64_t Checksum(const Relation& r) {
   std::uint64_t sum = 0;
   r.ForEachRow([&sum](std::uint32_t, RowView row) {
@@ -88,30 +86,16 @@ int main(int argc, char** argv) {
 
   const auto n_rows = static_cast<std::uint64_t>(200000.0 * scale);
   const std::size_t reps = 3;
-  const std::size_t shard_counts[] = {1, 4, 16};
   std::vector<Row> rows;
-  std::uint64_t expected_checksum = 0;  // filled by the first insert cell
 
-  const auto check = [&expected_checksum](const Row& row) {
-    if (expected_checksum == 0) {
-      expected_checksum = row.checksum;
-    } else if (row.checksum != expected_checksum) {
-      std::fprintf(stderr, "%s checksum mismatch: %llu != %llu\n",
-                   row.workload.c_str(),
-                   static_cast<unsigned long long>(row.checksum),
-                   static_cast<unsigned long long>(expected_checksum));
-      std::exit(1);
-    }
-  };
-
-  // --- serial_insert_pP: one thread, direct mutators.
-  for (const std::size_t p : shard_counts) {
+  // --- serial_insert: one thread, direct mutators.
+  {
     Row row;
-    row.workload = "serial_insert_p" + std::to_string(p);
+    row.workload = "serial_insert";
     row.rows = n_rows;
     util::WallTimer timer;
     for (std::size_t rep = 0; rep < reps; ++rep) {
-      Relation r(2, p);
+      Relation r(2);
       r.Reserve(n_rows);
       for (std::uint64_t i = 0; i < n_rows; ++i) {
         r.Insert(MakeTuple(i));
@@ -119,20 +103,19 @@ int main(int argc, char** argv) {
       row.checksum = Checksum(r);
     }
     row.seconds = timer.ElapsedSeconds();
-    check(row);
     Report(row, reps);
     rows.push_back(row);
   }
 
-  // --- probe_pP: membership checks, alternating hits and misses.
-  for (const std::size_t p : {std::size_t{1}, std::size_t{16}}) {
-    Relation r(2, p);
+  // --- probe: membership checks, alternating hits and misses.
+  {
+    Relation r(2);
     r.Reserve(n_rows);
     for (std::uint64_t i = 0; i < n_rows; ++i) {
       r.Insert(MakeTuple(i));
     }
     Row row;
-    row.workload = "probe_p" + std::to_string(p);
+    row.workload = "probe";
     row.rows = n_rows;
     std::uint64_t hits = 0;
     util::WallTimer timer;
@@ -155,14 +138,14 @@ int main(int argc, char** argv) {
     rows.push_back(row);
   }
 
-  // --- mixed_erase_pP: insert everything, erase every other tuple.
-  for (const std::size_t p : {std::size_t{1}, std::size_t{16}}) {
+  // --- mixed_erase: insert everything, erase every other tuple.
+  {
     Row row;
-    row.workload = "mixed_erase_p" + std::to_string(p);
+    row.workload = "mixed_erase";
     row.rows = n_rows + n_rows / 2;
     util::WallTimer timer;
     for (std::size_t rep = 0; rep < reps; ++rep) {
-      Relation r(2, p);
+      Relation r(2);
       r.Reserve(n_rows);
       for (std::uint64_t i = 0; i < n_rows; ++i) {
         r.Insert(MakeTuple(i));

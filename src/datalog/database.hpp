@@ -69,8 +69,8 @@ class Database {
   /// Runs from-scratch evaluation to fixpoint.  Idempotent.
   EvalStats Materialize();
 
-  /// All rows of a predicate (shard-major order; within a shard, insertion
-  /// order modulo swap-removal on erase).
+  /// All rows of a predicate (insertion order, modulo swap-removal on
+  /// erase).
   [[nodiscard]] std::vector<Tuple> Query(std::string_view predicate) const;
 
   /// Membership test.

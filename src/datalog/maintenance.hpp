@@ -14,7 +14,7 @@
 //    components; aggregates fall back to DRed's recompute-and-diff.
 //
 // Both strategies produce bit-identical final stores (the tests verify
-// DRed ≡ B/F tuple-for-tuple) and share the sharded store, the join
+// DRed ≡ B/F tuple-for-tuple) and share the store, the join
 // kernel, and the scheduler-driven cascade unchanged — only the
 // per-component phase body differs.
 #pragma once

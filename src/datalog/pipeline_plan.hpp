@@ -9,8 +9,9 @@
 // component condensation ("level"): level(c) = 1 + max level over the
 // components c's rule bodies read, 0 for components with no external
 // inputs.  "Epoch e finalized all levels < L" then implies every transitive
-// producer of a level-L component has finished AND flushed (the write
-// buffers wait on the per-shard version counters before a task completes).
+// producer of a level-L component has finished, and a component phase
+// writes its relations directly, so its writes are in the store when its
+// task completes.
 //
 // The fence covers the other race direction too.  A component phase reads
 // exactly its member predicates plus its rules' body predicates

@@ -11,7 +11,7 @@
 //                    UpdateQueue ─► apply thread ─► router channel
 //     Session "b" ─► ... (same pool, own everything else)
 //
-// Every Session owns its parsed+stratified program, its sharded store, and
+// Every Session owns its parsed+stratified program, its store, and
 // its apply threads; the ONLY shared mutable state is the worker pool (via
 // TaskRouter channels) and the metrics registry — both multi-tenant by
 // construction.  Sessions hold the HostCore via

@@ -1,7 +1,7 @@
 // One maintained Datalog program inside an EngineHost.
 //
 // A session owns everything program-scoped — the parsed+stratified program,
-// its sharded RelationStore, its scheduler choice, and a bounded queue of
+// its RelationStore, its scheduler choice, and a bounded queue of
 // pending update batches — and borrows only the host's shared worker pool.
 //
 // Epoch pipelining (DESIGN.md §12): a session runs up to K = pipeline_depth
@@ -160,7 +160,7 @@ class Session {
   [[nodiscard]] std::size_t QueueCapacity() const {
     return queue_.Capacity();
   }
-  /// The underlying store — shard-stable tuple access for equality checks.
+  /// The underlying store — tuple access for equality checks.
   [[nodiscard]] const datalog::RelationStore& Store() const {
     return db_.Store();
   }

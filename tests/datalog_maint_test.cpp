@@ -1,7 +1,7 @@
 // Maintenance-strategy tests (datalog/maintenance.hpp): DRed and
 // Backward/Forward must produce bit-identical stores on any update
-// sequence — serial or parallel, any shard count, any scheduler.  The
-// concurrency cases run under TSan in CI.
+// sequence — serial or parallel, any scheduler.  The concurrency cases
+// run under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -85,7 +85,7 @@ TEST(MaintEquivalenceTest, SerialRandomizedInterleavedInsertDelete) {
   }
 }
 
-TEST(MaintEquivalenceTest, ParallelAcrossShardCountsAndSchedulers) {
+TEST(MaintEquivalenceTest, ParallelAcrossSchedulers) {
   const std::uint64_t seed = 321;
   // Serial DRed is the reference.
   WideFixture reference;
@@ -109,27 +109,23 @@ TEST(MaintEquivalenceTest, ParallelAcrossShardCountsAndSchedulers) {
   runtime::TaskRouter router({.workers = 4});
   for (const MaintenanceStrategy strategy :
        {MaintenanceStrategy::kDRed, MaintenanceStrategy::kBackwardForward}) {
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      for (const char* scheduler : {"hybrid", "levelbased"}) {
-        WideFixture fixture;
-        fixture.store = RelationStore(fixture.program, shards);
-        {
-          util::Rng rng(seed);
-          fixture.Base(rng, 12, 0.15);
-        }
-        for (const UpdateRequest& request : batches) {
-          (void)ApplyParallel(fixture.program, fixture.strat, nullptr,
-                              fixture.store, request,
-                              {.scheduler_spec = scheduler,
-                               .router = &router,
-                               .strategy = strategy});
-        }
-        ExpectStoresEqual(
-            reference.program, reference.store, fixture.store,
-            (std::string(MaintenanceStrategyName(strategy)) + "/" + scheduler +
-             "/" + std::to_string(shards) + " shards")
-                .c_str());
+    for (const char* scheduler : {"hybrid", "levelbased"}) {
+      WideFixture fixture;
+      {
+        util::Rng rng(seed);
+        fixture.Base(rng, 12, 0.15);
       }
+      for (const UpdateRequest& request : batches) {
+        (void)ApplyParallel(fixture.program, fixture.strat, nullptr,
+                            fixture.store, request,
+                            {.scheduler_spec = scheduler,
+                             .router = &router,
+                             .strategy = strategy});
+      }
+      ExpectStoresEqual(
+          reference.program, reference.store, fixture.store,
+          (std::string(MaintenanceStrategyName(strategy)) + "/" + scheduler)
+              .c_str());
     }
   }
 }

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "datalog/incremental.hpp"
 #include "datalog/parser.hpp"
@@ -111,13 +114,25 @@ TEST(RelationStoreTest, EnsurePredicatesExtends) {
 }
 
 TEST(RelationEraseTest, SwapRemovalMovesOnlyTheLastRow) {
-  // A single shard gives dense row ids, so the swap-removal contract can be
-  // observed through Row() directly.
-  Relation r(2, 1);
+  // Row ids are dense, so the swap-removal contract can be observed through
+  // Row() and ForEachRow() directly.
+  const auto rows_in_order = [](const Relation& r) {
+    std::vector<Tuple> rows;
+    std::uint32_t expected_id = 0;
+    r.ForEachRow([&](std::uint32_t id, RowView row) {
+      EXPECT_EQ(id, expected_id++);
+      rows.emplace_back(row.begin(), row.end());
+    });
+    return rows;
+  };
+  Relation r(2);
   r.Insert(T2(1, 1));
   r.Insert(T2(2, 2));
   r.Insert(T2(3, 3));
   r.Insert(T2(4, 4));
+  // Iteration is insertion order.
+  EXPECT_EQ(rows_in_order(r),
+            (std::vector<Tuple>{T2(1, 1), T2(2, 2), T2(3, 3), T2(4, 4)}));
   // Erasing a middle row compacts by moving the LAST row into its slot;
   // every other row id is stable.
   ASSERT_TRUE(r.Erase(T2(2, 2)));
@@ -131,10 +146,12 @@ TEST(RelationEraseTest, SwapRemovalMovesOnlyTheLastRow) {
   EXPECT_TRUE(r.Contains(T2(3, 3)));
   EXPECT_TRUE(r.Contains(T2(4, 4)));
   EXPECT_FALSE(r.Contains(T2(2, 2)));
+  EXPECT_EQ(rows_in_order(r),
+            (std::vector<Tuple>{T2(1, 1), T2(4, 4), T2(3, 3)}));
 }
 
 TEST(RelationEraseTest, EraseLastRowIsPureTruncation) {
-  Relation r(2, 1);
+  Relation r(2);
   r.Insert(T2(1, 1));
   r.Insert(T2(2, 2));
   ASSERT_TRUE(r.Erase(T2(2, 2)));
@@ -183,10 +200,16 @@ TEST(RelationEraseTest, InterleavedInsertEraseMatchesReferenceSet) {
 TEST(RelationEraseTest, EraseEpochGatesIndexRebuild) {
   // The EraseEpoch contract: pure appends keep the epoch (the cached index
   // may extend in place), any erase advances it (row ids shifted, caches
-  // must rebuild).  Interleave the two and check the index stays exact.
+  // must rebuild).  Interleave the two and check the index stays exact, and
+  // that the cache counters say which path each refresh took.
   const Program p = ParseProgram("e(a, b).");
   RelationStore store(p);
   const auto e = p.PredicateId("e");
+  const auto counter = [&store](const char* name) {
+    obs::MetricsRegistry registry;
+    store.ExportMetrics(registry);
+    return registry.Value(std::string("store.") + name);
+  };
   const auto epoch0 = store.Of(e).EraseEpoch();
   for (int i = 0; i < 16; ++i) {
     store.Of(e).Insert(T2(i % 4, i));
@@ -194,17 +217,32 @@ TEST(RelationEraseTest, EraseEpochGatesIndexRebuild) {
   EXPECT_EQ(store.Of(e).EraseEpoch(), epoch0);
   EXPECT_EQ(store.Lookup(e, {0}, {Value::Int(1)}).size(), 4u);
 
+  // Pure appends extend the index by exactly the appended rows.
+  const auto rebuilds0 = counter("index_rebuilds");
+  const auto extended0 = counter("index_extend_rows");
+  for (int i = 16; i < 20; ++i) {
+    store.Of(e).Insert(T2(i % 4, i));
+  }
+  EXPECT_EQ(store.Lookup(e, {0}, {Value::Int(1)}).size(), 5u);
+  EXPECT_EQ(counter("index_rebuilds"), rebuilds0);
+  EXPECT_EQ(counter("index_extend_rows"), extended0 + 4);
+
   store.Of(e).Erase(T2(1, 5));
   const auto epoch1 = store.Of(e).EraseEpoch();
   EXPECT_GT(epoch1, epoch0);
-  EXPECT_EQ(store.Lookup(e, {0}, {Value::Int(1)}).size(), 3u);
+  EXPECT_EQ(store.Lookup(e, {0}, {Value::Int(1)}).size(), 4u);
+  // One erase, one rebuild.
+  EXPECT_EQ(counter("index_rebuilds"), rebuilds0 + 1);
 
   // Appends after the rebuild extend without another epoch bump, and row
   // ids handed back by the index must address the right arena rows.
+  const auto extended1 = counter("index_extend_rows");
   store.Of(e).Insert(T2(1, 99));
   EXPECT_EQ(store.Of(e).EraseEpoch(), epoch1);
   const auto rows = store.Lookup(e, {0}, {Value::Int(1)});
-  EXPECT_EQ(rows.size(), 4u);
+  EXPECT_EQ(rows.size(), 5u);
+  EXPECT_EQ(counter("index_rebuilds"), rebuilds0 + 1);
+  EXPECT_EQ(counter("index_extend_rows"), extended1 + 1);
   for (const auto id : rows) {
     EXPECT_EQ(store.RowAt(e, id)[0], Value::Int(1));
   }
